@@ -10,8 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import mul
 
-from .partitions import Partition, class_size, parse_partition, partitions_of
+from .partitions import Partition, class_size, parse_partition, partitions_of, require_int
 
 
 class ClassFunction:
@@ -24,7 +25,7 @@ class ClassFunction:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values=None):
-        if n < 1:
+        if require_int(n, "n") < 1:
             raise ValueError("class functions need n >= 1")
         self.n = n
         vals: dict[Partition, int] = {}
@@ -41,6 +42,14 @@ class ClassFunction:
             if v:
                 vals[mu] = v
         self.values = vals
+
+    @classmethod
+    def _from_clean(cls, n: int, values: dict[Partition, int]) -> "ClassFunction":
+        """Wrap values already keyed by Partition, with nonzero int values."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.values = values
+        return self
 
     def value(self, mu) -> int:
         return self.values.get(Partition(mu), 0)
@@ -89,14 +98,14 @@ class ClassFunction:
         )
 
     def __repr__(self) -> str:
-        body = {repr(mu): v for mu in partitions_of(self.n) if (v := self.value(mu))}
+        body = {repr(mu): v for mu in partitions_of(self.n) if (v := self.values.get(mu))}
         return f"ClassFunction({self.n}, {body})"
 
     def to_json(self) -> dict[str, int]:
         return {
             ",".join(str(p) for p in mu): v
             for mu in partitions_of(self.n)
-            if (v := self.value(mu))
+            if (v := self.values.get(mu))
         }
 
     @classmethod
@@ -135,10 +144,13 @@ def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     return total
 
 
-@cache
 def irreducible_character(lam) -> ClassFunction:
     """The irreducible character indexed by lam, on all cycle types."""
-    lam = Partition(lam)
+    return _irreducible_character(Partition(lam))
+
+
+@cache
+def _irreducible_character(lam: Partition) -> ClassFunction:
     n = lam.n
     if n < 1:
         raise ValueError("need a partition of n >= 1")
@@ -165,13 +177,28 @@ def decompose(a: ClassFunction, require_nonnegative: bool = False) -> dict[Parti
     virtual character), and on negative multiplicities when the caller
     asserts the input is the character of an actual representation.
     """
+    order = factorial(a.n)
+    values = [a.values.get(mu, 0) for mu in partitions_of(a.n)]
     out: dict[Partition, int] = {}
-    for lam in partitions_of(a.n):
-        m = inner_product(a, irreducible_character(lam))
-        if m.denominator != 1:
-            raise ValueError(f"not a virtual character: <a, chi^{lam}> = {m}")
+    for lam, row in _weighted_table(a.n):
+        total = sum(map(mul, row, values))
+        m, r = divmod(total, order)
+        if r:
+            raise ValueError(f"not a virtual character: <a, chi^{lam}> = {Fraction(total, order)}")
         if require_nonnegative and m < 0:
             raise ValueError(f"negative multiplicity {m} at {lam}")
         if m:
-            out[lam] = int(m)
+            out[lam] = m
     return out
+
+
+@cache
+def _weighted_table(n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """(lam, row) for each irreducible, with row[i] = |class mu_i| * chi^lam(mu_i)
+    over mu_i in partitions_of(n): the inner product with a class function
+    is then one dot product with its value vector."""
+    classes = partitions_of(n)
+    sizes = [class_size(mu) for mu in classes]
+    return tuple(
+        (lam, tuple(s * _mn(lam, mu) for s, mu in zip(sizes, classes))) for lam in classes
+    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, is_hook
+from .partitions import Partition, is_hook, require_int
 
 CASE_TAGS = ("I", "II", "III", "IV")
 
@@ -40,9 +40,9 @@ class RepresentationType:
             raise ValueError(f"unknown case tag {self.case_tag!r}")
         if (self.special_degree is None) != (self.case_tag == "I"):
             raise ValueError("special_degree is required exactly for cases II-IV")
-        if self.special_degree is not None and self.special_degree < 1:
+        if self.special_degree is not None and require_int(self.special_degree, "d") < 1:
             raise ValueError("degrees must be >= 1")
-        degrees = tuple(sorted(int(c) for c in self.trivial_degrees))
+        degrees = tuple(sorted(require_int(c, "trivial degree") for c in self.trivial_degrees))
         if any(c < 1 for c in degrees):
             raise ValueError("degrees must be >= 1")
         object.__setattr__(self, "trivial_degrees", degrees)
@@ -79,15 +79,14 @@ class IrredMultiset:
     summands: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        if require_int(self.n, "n") < 1:
             raise ValueError("need n >= 1")
         clean = []
         for lam, deg in self.summands:
             lam = Partition(lam)
             if lam.n != self.n:
                 raise ValueError(f"{lam} is not a partition of {self.n}")
-            deg = int(deg)
-            if deg < 1:
+            if require_int(deg, "degree") < 1:
                 raise ValueError("degrees must be >= 1")
             clean.append((lam, deg))
         object.__setattr__(self, "summands", tuple(clean))

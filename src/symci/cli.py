@@ -100,6 +100,7 @@ def _rep_type_from_flags(case: str, d: int | None, c: str) -> RepresentationType
 
 
 _AGAINST = re.compile(r"^\s*case\s+(IV|III|II|I)\b\s*(.*)$")
+_AGAINST_ITEM = re.compile(r"(\w+)\s*=\s*([\d,]+)")
 
 
 def _parse_against(text: str) -> RepresentationType:
@@ -107,9 +108,12 @@ def _parse_against(text: str) -> RepresentationType:
     if not m:
         raise ValueError(f'--against must look like "case III d=2 c=2", got {text!r}')
     case, rest = m.group(1), m.group(2)
+    leftover = _AGAINST_ITEM.sub("", rest).strip()
+    if leftover:
+        raise ValueError(f"cannot parse {leftover!r} in --against {text!r}")
     d = None
     c = ""
-    for key, value in re.findall(r"(\w+)\s*=\s*([\d,]+)", rest):
+    for key, value in _AGAINST_ITEM.findall(rest):
         if key == "d":
             d = int(value)
         elif key == "c":

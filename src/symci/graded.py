@@ -7,8 +7,8 @@ generating types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
+from ._tpoly import divmod_poly, product_one_minus, series_quotient, times_one_minus
 from .characters import (
     ClassFunction,
     decompose,
@@ -17,8 +17,7 @@ from .characters import (
     trivial_character,
 )
 from .classify import RepresentationType, validate_representation_type
-from .partitions import Partition, partitions_of
-from .tableaux import kostka_foulkes_tilde
+from .partitions import Partition, partitions_of, require_int
 
 __all__ = [
     "GradedCharacter",
@@ -222,17 +221,38 @@ def _sum_str(n: int, mults: dict[Partition, int]) -> str:
     return "".join(parts) or "0"
 
 
-@cache
-def _coinvariant_coeffs(n: int) -> tuple[ClassFunction, ...]:
-    top = n * (n - 1) // 2
-    coeffs = [ClassFunction(n, {}) for _ in range(top + 1)]
-    column = Partition([1] * n)
-    for lam in partitions_of(n):
-        kt = kostka_foulkes_tilde(lam, column)
-        chi = irreducible_character(lam)
-        for e, c in kt.items():
-            coeffs[e] = coeffs[e] + c * chi
-    return tuple(coeffs)
+def _assemble(
+    n: int, polys: dict[Partition, list[int]], length: int, exact: bool
+) -> GradedCharacter:
+    """The graded character whose class-mu values are polys[mu], through
+    degree length - 1 (a missing degree reads as zero)."""
+    coeffs = [
+        ClassFunction._from_clean(
+            n, {mu: p[d] for mu, p in polys.items() if d < len(p) and p[d]}
+        )
+        for d in range(length)
+    ]
+    return GradedCharacter(n, coeffs, exact)
+
+
+def _molien(n: int, numerator, bound: int) -> GradedCharacter:
+    """Molien's formula, one conjugacy class at a time.
+
+    At cycle type mu the value series is numerator(mu) / D_mu with
+    D_mu = prod_j (1 - t^mu_j).  The graded character is a polynomial
+    precisely when D_mu divides the numerator over Z for every mu; the
+    quotients are then the whole answer, whatever the bound.  Otherwise
+    every class is expanded as a power series through bound.
+    """
+    fractions = [(mu, numerator(mu), product_one_minus(mu)) for mu in partitions_of(n)]
+    polys: dict[Partition, list[int]] = {}
+    for mu, num, den in fractions:
+        quot, rem = divmod_poly(num, den)
+        if any(rem):
+            series = {mu: series_quotient(num, den, bound + 1) for mu, num, den in fractions}
+            return _assemble(n, series, bound + 1, False)
+        polys[mu] = quot
+    return _assemble(n, polys, max(len(p) for p in polys.values()), True)
 
 
 def coinvariant_character(n: int, bound: int | None = None) -> GradedCharacter:
@@ -241,27 +261,11 @@ def coinvariant_character(n: int, bound: int | None = None) -> GradedCharacter:
     A polynomial of top degree n(n-1)/2; the default bound covers it, so
     the result is exact unless a smaller bound is forced.
     """
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise ValueError("need n >= 1")
-    full = _coinvariant_coeffs(n)
-    top = len(full) - 1
-    if bound is None:
-        bound = top
-    if bound >= top:
-        zero = ClassFunction(n, {})
-        return GradedCharacter(n, full + (zero,) * (bound - top), True)
-    return GradedCharacter(n, full[: bound + 1], False)
-
-
-@cache
-def _parts_bounded_series(n: int, bound: int) -> tuple[int, ...]:
-    """Coefficients of prod_{j<=n} 1/(1-t^j): partitions with parts <= n."""
-    dp = [0] * (bound + 1)
-    dp[0] = 1
-    for j in range(1, n + 1):
-        for d in range(j, bound + 1):
-            dp[d] += dp[d - j]
-    return tuple(dp)
+    num = product_one_minus(range(1, n + 1))
+    full = _molien(n, lambda mu: num, 0)
+    return full if bound is None else full.truncate(require_int(bound, "bound"))
 
 
 def polynomial_ring_character(n: int, bound: int) -> GradedCharacter:
@@ -269,18 +273,9 @@ def polynomial_ring_character(n: int, bound: int) -> GradedCharacter:
 
     This is an honestly infinite series, so the result is never exact.
     """
-    if n < 1 or bound < 0:
+    if require_int(n, "n") < 1 or require_int(bound, "bound") < 0:
         raise ValueError("need n >= 1 and bound >= 0")
-    coinv = coinvariant_character(n)
-    dp = _parts_bounded_series(n, bound)
-    coeffs = []
-    for d in range(bound + 1):
-        acc = ClassFunction(n, {})
-        for i in range(d + 1):
-            if dp[i]:
-                acc = acc + dp[i] * coinv.coefficient(d - i)
-        coeffs.append(acc)
-    return GradedCharacter(n, coeffs, False)
+    return _molien(n, lambda mu: [1], bound)
 
 
 def scale_by_cyclotomic(g: GradedCharacter, c: int) -> GradedCharacter:
@@ -298,24 +293,11 @@ def scale_by_cyclotomic(g: GradedCharacter, c: int) -> GradedCharacter:
     return GradedCharacter(g.n, coeffs, exact)
 
 
-def _generator_degrees(rt: RepresentationType, n: int) -> tuple[int, ...]:
-    d = rt.special_degree
+def _case_factor(rt: RepresentationType, n: int) -> tuple[ClassFunction, ...]:
+    """Coefficients of det(1 - t^d sigma | W) for the non-trivial summand W,
+    the alternating sum of its exterior powers; just 1 in case I."""
     if rt.case_tag == "I":
-        head: tuple[int, ...] = ()
-    elif rt.case_tag == "II":
-        head = (d,)
-    elif rt.case_tag == "III":
-        head = (d,) * (n - 1)
-    else:
-        head = (d, d)
-    return head + rt.trivial_degrees
-
-
-def _case_factor(rt: RepresentationType, n: int) -> GradedCharacter | None:
-    """The alternating Euler-characteristic factor contributed by the
-    non-trivial summand, as an exact polynomial series."""
-    if rt.case_tag == "I":
-        return None
+        return (trivial_character(n),)
     d = rt.special_degree
     zero = ClassFunction(n, {})
     if rt.case_tag == "II":
@@ -332,39 +314,31 @@ def _case_factor(rt: RepresentationType, n: int) -> GradedCharacter | None:
         coeffs[0] = trivial_character(n)
         coeffs[d] = -irreducible_character(Partition([2, 2]))
         coeffs[2 * d] = sign_character(n)
-    return GradedCharacter(n, coeffs, True)
+    return tuple(coeffs)
 
 
 def quotient_character(rt: RepresentationType, n: int, bound: int = 10) -> GradedCharacter:
     """Graded character of the quotient by an ideal of the given type.
 
-    The result is exact (a polynomial with known top degree) precisely
-    when the series terminates, which is certified by a window of n
-    vanishing coefficients ending at the total generator degree: every
-    cycle-type evaluation of the series satisfies a linear recurrence of
-    order n there, so n consecutive zeros propagate forever.  Inputs that
-    pass the shape gate but are not realizable by an actual regular
-    sequence simply come back inexact.
+    At cycle type mu the value series is the case factor at mu times
+    prod_i (1 - t^c_i), over Molien's prod_j (1 - t^mu_j).  The result is
+    exact (a polynomial with known top degree) precisely when every one
+    of these divisions is exact over Z; otherwise it is truncated at
+    bound.  Inputs that pass the shape gate but are not realizable by an
+    actual regular sequence simply come back inexact.
     """
     validate_representation_type(rt, n)
-    if bound < 0:
+    if require_int(bound, "bound") < 0:
         raise ValueError("bound must be nonnegative")
-    degrees = _generator_degrees(rt, n)
-    total = sum(degrees)
-    cap = max(bound, total)
-    series = polynomial_ring_character(n, cap)
     factor = _case_factor(rt, n)
-    if factor is not None:
-        series = series * factor
-    for c in rt.trivial_degrees:
-        series = scale_by_cyclotomic(series, c)
-    window = range(max(0, total - n + 1), total + 1)
-    if all(series.coeffs[d].is_zero() for d in window):
-        top = max(
-            (d for d in range(total + 1) if not series.coeffs[d].is_zero()), default=0
-        )
-        return GradedCharacter(n, series.coeffs[: top + 1], True)
-    return GradedCharacter(n, series.coeffs[: bound + 1], False)
+
+    def numerator(mu: Partition) -> list[int]:
+        num = [cf.values.get(mu, 0) for cf in factor]
+        for c in rt.trivial_degrees:
+            num = times_one_minus(num, c)
+        return num
+
+    return _molien(n, numerator, bound)
 
 
 def hilbert_series(g: GradedCharacter) -> list[int]:

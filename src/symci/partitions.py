@@ -13,6 +13,17 @@ from functools import cache
 from math import factorial
 
 
+def require_int(value, field: str) -> int:
+    """Return value when it is an int, not a bool; otherwise raise naming field.
+
+    Floats, bools and other numbers are refused rather than coerced, so
+    2.9 never silently becomes 2 and True never becomes 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers.
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import cache
 
 from ._linalg import solve
-from .partitions import Partition, n_stat
+from ._tpoly import divmod_poly, product_one_minus
+from .partitions import Partition, conjugate, n_stat
 
 
 class Tableau:
@@ -106,10 +107,13 @@ class Tableau:
         return [list(r) for r in self.rows]
 
 
-@cache
 def standard_tableaux(shape) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, sorted by top-first row word."""
-    shape = Partition(shape)
+    return _standard_tableaux(Partition(shape))
+
+
+@cache
+def _standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
     if not shape:
         raise ValueError("need a nonempty shape")
     n = shape.n
@@ -304,9 +308,34 @@ def kostka_foulkes(lam, mu) -> UnivariatePoly:
     return UnivariatePoly(coeffs)
 
 
+def _hook_lengths(lam: Partition) -> list[int]:
+    conj = conjugate(lam)
+    return [lam[i] - j + conj[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+
+
+def _column_kostka_foulkes(lam: Partition) -> UnivariatePoly:
+    """K(lam, 1^n) by the q-hook formula (Macdonald III.6, Stanley EC2 7.21):
+
+        t^n(lam') prod_{i<=n} (1 - t^i) / prod_{cells x} (1 - t^h(x)).
+    """
+    num = product_one_minus(range(1, lam.n + 1))
+    quot, _ = divmod_poly(num, product_one_minus(_hook_lengths(lam)))
+    shift = n_stat(conjugate(lam))
+    return UnivariatePoly({shift + e: c for e, c in enumerate(quot) if c})
+
+
 def kostka_foulkes_tilde(lam, mu) -> UnivariatePoly:
-    """The charge polynomial with exponents flipped around n_stat(mu)."""
-    k = kostka_foulkes(lam, mu)
+    """The charge polynomial with exponents flipped around n_stat(mu).
+
+    The column weight mu = 1^n uses the q-hook formula and enumerates no
+    tableau; every other weight sums charge over semistandard tableaux,
+    which stays the independent check of the closed form.
+    """
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.n == mu.n and mu == (1,) * mu.n:
+        k = _column_kostka_foulkes(lam)
+    else:
+        k = kostka_foulkes(lam, mu)
     top = n_stat(mu)
     flipped: dict[int, int] = {}
     for e, c in k.coeffs.items():

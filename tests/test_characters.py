@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symci.characters import (
     ClassFunction,
@@ -33,6 +35,12 @@ class TestClassFunctionType:
         with pytest.raises(TypeError):
             ClassFunction(3, {(3,): Fraction(1, 2)})
 
+    @pytest.mark.parametrize("n", [True, 4.0])
+    def test_rejects_non_integer_n(self, n):
+        # n keys the cached decomposition table, so it must be a plain int
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            ClassFunction(n, {})
+
     def test_integral_fraction_accepted(self):
         cf = ClassFunction(3, {(3,): Fraction(4, 2)})
         assert cf.value((3,)) == 2
@@ -50,6 +58,10 @@ class TestCharacterTable:
 
     def test_class_sizes(self):
         assert [class_size(mu) for mu in CLASS_ORDER_S4] == CLASS_SIZES_S4
+
+    def test_accepts_any_sequence(self):
+        assert irreducible_character([2, 2]) == irreducible_character(Partition([2, 2]))
+        assert irreducible_character([2, 2]).value([3, 1]) == -1
 
     def test_trivial_is_all_ones(self):
         for n in range(1, 7):
@@ -155,3 +167,37 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(cf, require_nonnegative=True)
         assert decompose(cf) == {Partition([2, 1]): -1}
+
+
+@st.composite
+def class_functions(draw):
+    """Integer class functions on S_n, n <= 6: virtual characters or not."""
+    n = draw(st.integers(1, 6))
+    classes = partitions_of(n)
+    if draw(st.booleans()):
+        mults = draw(st.lists(st.integers(-3, 3), min_size=len(classes), max_size=len(classes)))
+        cf = ClassFunction(n, {})
+        for lam, m in zip(classes, mults):
+            cf = cf + m * irreducible_character(lam)
+        return cf
+    values = draw(st.lists(st.integers(-50, 50), min_size=len(classes), max_size=len(classes)))
+    return ClassFunction(n, dict(zip(classes, values)))
+
+
+class TestDecomposeTable:
+    @settings(max_examples=150, deadline=None)
+    @given(class_functions(), st.booleans())
+    def test_matches_inner_product_definition(self, cf, nonnegative):
+        products = {
+            lam: inner_product(cf, irreducible_character(lam)) for lam in partitions_of(cf.n)
+        }
+        if any(m.denominator != 1 for m in products.values()):
+            with pytest.raises(ValueError, match="not a virtual character"):
+                decompose(cf, require_nonnegative=nonnegative)
+        elif nonnegative and any(m < 0 for m in products.values()):
+            with pytest.raises(ValueError, match="negative multiplicity"):
+                decompose(cf, require_nonnegative=True)
+        else:
+            got = decompose(cf, require_nonnegative=nonnegative)
+            assert got == {lam: int(m) for lam, m in products.items() if m}
+            assert all(type(m) is int for m in got.values())

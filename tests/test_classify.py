@@ -186,3 +186,20 @@ class TestValidation:
             IrredMultiset(4, (((3, 1), 0),))
         with pytest.raises(ValueError):
             IrredMultiset(4, (((3, 2), 1),))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: RepresentationType("I", None, (2.9,)), "trivial degree"),
+            (lambda: RepresentationType("I", None, (True, 2)), "trivial degree"),
+            (lambda: RepresentationType("II", 2.0, ()), "d"),
+            (lambda: RepresentationType("III", False, ()), "d"),
+            (lambda: IrredMultiset(4, (((3, 1), True),)), "degree"),
+            (lambda: IrredMultiset(4, (((3, 1), 2.7),)), "degree"),
+            (lambda: IrredMultiset(4.0, ()), "n"),
+            (lambda: IrredMultiset(True, ()), "n"),
+        ],
+    )
+    def test_bools_and_non_integers_rejected(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build()

@@ -48,6 +48,13 @@ class TestCharacterCommand:
         code, _, _ = run(capsys, ["character", "--n", "4", "--case", "V", "--d", "1"])
         assert code == 2
 
+    def test_huge_trivial_degree_finishes(self, capsys):
+        # the cost follows the length of the answer, not a series expanded
+        # through the total generator degree and tested on a window
+        code, out, _ = run(capsys, ["character", "--n", "4", "--case", "I", "--c", "1,2,3,20000"])
+        assert code == 0
+        assert "top:       degree 20002 (exact polynomial)" in out
+
 
 class TestClassifyCommand:
     def test_accepted(self, tmp_path, capsys):
@@ -102,6 +109,15 @@ class TestClassifyCommand:
         code, _, err = run(capsys, ["classify", "--input", str(path)])
         assert code == 2
         assert "cannot read" in err
+
+
+    def test_non_integer_degree_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ms.json"
+        body = {"n": 4, "summands": [{"partition": [4], "degree": 2.7}]}
+        path.write_text(json.dumps(body))
+        code, out, err = run(capsys, ["classify", "--input", str(path)])
+        assert code == 2 and not out
+        assert "degree must be an integer, got 2.7" in err
 
 
 class TestVerifyCommand:
@@ -161,6 +177,12 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert err
+
+    def test_non_integer_against_exits_2(self, capsys):
+        gens = os.path.join(GENS_DIR, "ex4.gens")
+        code, out, err = run(capsys, ["verify", "--gens", gens, "--against", "case III d=2.5 c=2"])
+        assert code == 2 and not out
+        assert "cannot parse '.5'" in err
 
 
 class TestTablesCommand:

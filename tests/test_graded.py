@@ -1,6 +1,8 @@
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symci.characters import (
     ClassFunction,
@@ -22,7 +24,7 @@ from symci.graded import (
 from symci.partitions import Partition, partitions_of
 from symci.tableaux import UnivariatePoly
 
-from golden import COINVARIANT_S4, POLY_RING_S4, WORKED
+from golden import CHARACTER_TABLE_S4, CLASS_ORDER_S4, COINVARIANT_S4, POLY_RING_S4, WORKED
 
 
 def from_mults(n, mults):
@@ -278,6 +280,110 @@ class TestQuotientCharacter:
             g = quotient_character(rep_type(key), 4)
             for d in range(g.bound + 1):
                 decompose(g.coefficient(d), require_nonnegative=True)
+
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _one_minus(k, coeff=1):
+    return [1] + [0] * (k - 1) + [-coeff]
+
+
+def _window_reference(case, d, c, n, bound):
+    """Molien's formula expanded class by class through the total
+    generator degree, with the old termination rule: the series is exact
+    when its last n coefficients up to the total degree vanish at every
+    class.  Returns (exact, {mu: values through the reported bound})."""
+    head = {"I": (), "II": (d,), "III": (d,) * (n - 1), "IV": (d, d)}[case]
+    total = sum(head) + sum(c)
+    cap = max(bound, total)
+    chi22 = dict(zip(CLASS_ORDER_S4, CHARACTER_TABLE_S4[(2, 2)]))
+    series = {}
+    for mu in partitions_of(n):
+        sgn = (-1) ** (n - len(mu))
+        num = [1]
+        for ci in c:
+            num = _pmul(num, _one_minus(ci))
+        if case == "II":
+            num = _pmul(num, _one_minus(d, sgn))
+        elif case == "III":
+            # prod_j (1 - t^(d mu_j)) / (1 - t^d), the first factor divided out
+            num = _pmul(num, [1 if k % d == 0 else 0 for k in range(d * (mu[0] - 1) + 1)])
+            for part in mu[1:]:
+                num = _pmul(num, _one_minus(d * part))
+        elif case == "IV":
+            num = _pmul(num, [1] + [0] * (d - 1) + [-chi22[mu]] + [0] * (d - 1) + [sgn])
+        den = [1]
+        for part in mu:
+            den = _pmul(den, _one_minus(part))
+        out = []
+        for k in range(cap + 1):
+            v = num[k] if k < len(num) else 0
+            v -= sum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+            out.append(v)
+        series[mu] = out
+    window = range(max(0, total - n + 1), total + 1)
+    if all(s[k] == 0 for s in series.values() for k in window):
+        top = max((k for k in range(total + 1) if any(s[k] for s in series.values())), default=0)
+        return True, {mu: s[: top + 1] for mu, s in series.items()}
+    return False, {mu: s[: bound + 1] for mu, s in series.items()}
+
+
+@st.composite
+def admissible_types(draw):
+    """(case, d, c, n, bound) for admissible types at n <= 7, half of them
+    realizable families whose quotient is artinian."""
+    case = draw(st.sampled_from(["I", "II", "III", "IV"]))
+    n = 4 if case == "IV" else draw(st.integers(3 if case == "III" else 2, 7))
+    bound = draw(st.integers(0, 15))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        if case == "I":
+            c = tuple(j * draw(st.integers(1, 2)) for j in range(1, n + 1))
+            return case, None, c, n, bound
+        if case == "II":
+            return case, n * (n - 1) // 2, tuple(range(1, n)), n, bound
+        if case == "III":
+            return case, k, (k,), n, bound
+        return case, 2, (2, 3), n, bound
+    room = {"I": n, "II": n - 1, "III": 1, "IV": 2}[case]
+    c = draw(st.lists(st.integers(1, 6), min_size=int(case == "I"), max_size=room))
+    d = None if case == "I" else draw(st.integers(1, 8 if case == "II" else 4))
+    return case, d, tuple(c), n, bound
+
+
+class TestClassWiseFormula:
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: coinvariant_character(True), "n"),
+            (lambda: coinvariant_character(4, 2.0), "bound"),
+            (lambda: polynomial_ring_character(4, 2.5), "bound"),
+            (lambda: quotient_character(rep_type("ex4"), 4, False), "bound"),
+        ],
+    )
+    def test_rejects_bools_and_non_integers(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            call()
+
+    @settings(max_examples=120, deadline=None)
+    @given(admissible_types())
+    @example(("III", 2, (), 5, 12))  # does not terminate
+    @example(("I", None, (2, 2, 2, 2), 4, 10))  # passes the gate, not realizable
+    @example(("I", None, (1, 2, 3, 4, 5, 6, 7), 7, 0))
+    def test_matches_molien_window_reference(self, spec):
+        case, d, c, n, bound = spec
+        exact, values = _window_reference(case, d, c, n, bound)
+        g = quotient_character(RepresentationType(case, d, c), n, bound)
+        assert g.exact == exact
+        assert g.bound == len(values[(1,) * n]) - 1
+        for k, cf in enumerate(g.coeffs):
+            assert {mu: cf.value(mu) for mu in values} == {mu: v[k] for mu, v in values.items()}
 
 
 def _representative(mu):

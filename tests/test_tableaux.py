@@ -44,6 +44,10 @@ class TestStandardTableaux:
     def test_hook_count(self):
         assert len(standard_tableaux((3, 1))) == 3
 
+    def test_accepts_any_sequence(self):
+        assert standard_tableaux([2, 1]) == standard_tableaux(Partition([2, 1]))
+        assert len(standard_tableaux([2, 1])) == 2
+
     def test_all_standard(self):
         for n in range(1, 7):
             for lam in partitions_of(n):
@@ -149,6 +153,15 @@ class TestKostkaFoulkes:
 
 
 class TestKostkaFoulkesTilde:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_q_hook_column_matches_charge_enumeration(self, n):
+        column = Partition([1] * n)
+        top = n_stat(column)
+        for lam in partitions_of(n):
+            charge_poly = kostka_foulkes(lam, column)
+            flipped = UnivariatePoly({top - e: c for e, c in charge_poly.coeffs.items()})
+            assert kostka_foulkes_tilde(lam, column) == flipped, lam
+
     def test_full_column_table(self):
         for lam, coeffs in KF_TILDE_S4.items():
             assert kostka_foulkes_tilde(lam, (1, 1, 1, 1)) == UnivariatePoly(coeffs)
