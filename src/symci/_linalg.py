@@ -14,9 +14,17 @@ from math import gcd, lcm
 
 
 def _as_int_row(row: dict) -> dict[int, int]:
-    """Clear denominators and divide out the content of a sparse row."""
+    """Clear denominators and divide out the content of a sparse row.
+
+    A row of nonzero ints with content 1 is returned as it is, not
+    copied: no code here modifies a row in place.
+    """
     if not row:
         return {}
+    vals = row.values()
+    if all(type(v) is int and v for v in vals):
+        g = gcd(*vals)
+        return {c: v // g for c, v in row.items()} if g > 1 else row
     denom = 1
     for v in row.values():
         if isinstance(v, Fraction):

@@ -37,6 +37,9 @@ from .tableaux import kostka_foulkes_tilde
 
 SCHEMA = "symci/1"
 DEFAULT_BOUND = 10
+# The series work and memory grow linearly with --bound; past this the
+# answer is refused instead of risking gigabytes.
+MAX_BOUND = 100_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,8 +177,14 @@ def _print_character_text(rt: RepresentationType, n: int, g: GradedCharacter) ->
         print(f"top:       truncated at degree {g.bound} (series does not terminate there)")
 
 
+def _check_bound(bound: int) -> None:
+    if bound > MAX_BOUND:
+        raise ValueError(f"--bound must be at most {MAX_BOUND}, got {bound}")
+
+
 def _cmd_character(args) -> int:
     try:
+        _check_bound(args.bound)
         rt = _rep_type_from_flags(args.case, args.d, args.c)
         g = quotient_character(rt, args.n, args.bound)
     except ValueError as exc:
@@ -230,6 +239,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        _check_bound(args.bound)
         rt = _parse_against(args.against)
         with open(args.gens, encoding="utf-8") as handle:
             gs = parse_generator_file(handle.read(), args.n)

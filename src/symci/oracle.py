@@ -1,10 +1,21 @@
 """Brute-force ground truth on explicit polynomials.
 
 Everything here works in exact rational arithmetic on sparse exponent
-dictionaries: ideal degree slices by row reduction over the graded
-reverse lexicographic monomial basis, permutation traces on quotient
-slices, and the Hilbert-series regular sequence criterion.  It shares no
-code with the closed character formulas it is used to check.
+dictionaries, over the graded reverse lexicographic monomial basis:
+ideal degree slices, permutation traces on quotient slices, and the
+Hilbert-series regular sequence criterion.
+
+Degree slices are built in increasing degree next to a truncated
+Groebner basis G of the ideal.  Degree d is echelonized from one
+multiple of a basis element per monomial of <LM(G)>_d, the generators
+of degree d, and the S-polynomial rows of the critical pairs of degree
+d (see `_build_slice`); every new pivot lead joins G.  These rows span
+exactly the degree-d piece of the ideal, so the reduced echelon form is
+the one the from-scratch construction from all monomial multiples of
+all generators gives, with far fewer rows.
+
+The module shares no code with the closed character formulas it is used
+to check.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from math import comb, prod
 from ._linalg import Echelon, echelon
 from .characters import ClassFunction
 from .graded import GradedCharacter
-from .partitions import Partition, partitions_of
+from .partitions import Partition, partitions_of, require_int
 
 
 def _ratio(c):
@@ -253,7 +264,14 @@ def permutation_cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 class GeneratorSet:
-    """Homogeneous generators with cached degree slices of their ideal."""
+    """Homogeneous generators with cached degree slices of their ideal.
+
+    Slices are kept for every degree from 0 up to the highest one asked
+    for, together with the state that builds the next one: the truncated
+    Groebner basis through that degree, the critical pairs waiting for
+    their lcm degree, and a reducer row for each leading monomial of the
+    top slice.
+    """
 
     def __init__(self, gens, n: int | None = None):
         gens = tuple(gens)
@@ -269,6 +287,14 @@ class GeneratorSet:
         self.n = n
         self.degrees = tuple(g.degree() for g in gens)
         self._slices: dict[int, DegreeSlice] = {}
+        # The truncated Groebner basis through the top slice degree: one
+        # (lead exponents, {exponents: integer coefficient}) per element.
+        self._basis: list[tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = []
+        # Critical pairs (i, j, lcm of the leads) waiting for their lcm degree.
+        self._pairs: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+        # Leading column of the top slice -> (the earliest basis element
+        # whose lead divides it, that element's multiple with this lead).
+        self._reducers: dict[int, tuple[int, dict[int, int]]] = {}
         self._stable: bool | None = None
 
     def __repr__(self) -> str:
@@ -333,26 +359,81 @@ class DegreeSlice:
 
 
 def ideal_degree_slice(gs: GeneratorSet, d: int) -> DegreeSlice:
-    """Row-reduced basis of the degree-d piece of the generated ideal."""
-    if d < 0:
+    """Row-reduced basis of the degree-d piece of the generated ideal.
+
+    Slices are built in increasing degree, so asking for degree d first
+    builds every lower degree that is not cached yet.
+    """
+    if require_int(d, "d") < 0:
         raise ValueError("degree must be nonnegative")
-    cached = gs._slices.get(d)
-    if cached is not None:
-        return cached
-    index = _monomial_index(gs.n, d)
-    rows = []
-    for g in gs.gens:
-        c = g.degree()
-        if c > d:
-            continue
-        for m in monomials(gs.n, d - c):
-            rows.append(
-                {index[tuple(a + b for a, b in zip(m, e))]: v for e, v in g.terms.items()}
-            )
+    for e in range(len(gs._slices), d + 1):
+        _build_slice(gs, e)
+    return gs._slices[d]
+
+
+def _build_slice(gs: GeneratorSet, d: int) -> None:
+    """Echelonize I_d from the basis of degree < d and extend the basis.
+
+    The rows span I_d:
+    - for each monomial T of <LM(G)>_d, the multiple of the earliest
+      basis element whose lead divides T (distinct leads; read off the
+      degree d - 1 multiples times each variable);
+    - the generators of degree d;
+    - for each critical pair (g_i, g_j), i < j, whose lcm T has degree d,
+      the multiple of g_j with lead T, which together with the row for T
+      spans their S-polynomial.  Pairs with coprime leads are dropped
+      (Buchberger's product criterion), and so are pairs where some
+      g_k, k < i, divides T: the pairs (g_k, g_i) and (g_k, g_j) have
+      lcms dividing T and are kept (the chain criterion).
+    Every pivot outside <LM(G)>_d joins the basis.
+    """
+    n = gs.n
+    basis = gs._basis
+    index = _monomial_index(n, d)
+    reducers: dict[int, tuple[int, dict[int, int]]] = {}
+    if gs._reducers:
+        shifts = _variable_shifts(n, d - 1)
+        # _reducers runs in nondecreasing element order, so the first
+        # multiple to reach a column is that of the earliest element
+        # dividing it, and this dict keeps the same order.
+        for p, (k, row) in gs._reducers.items():
+            for shift in shifts:
+                col = shift[p]
+                if col not in reducers:
+                    reducers[col] = (k, {shift[c]: v for c, v in row.items()})
+    rows = [row for _, row in reducers.values()]
+    rows += [_poly_row(g, index) for g in gs.gens if g.degree() == d]
+    for i, j, m in gs._pairs.pop(d, ()):
+        if reducers[index[m]][0] == i:
+            lead, terms = basis[j]
+            t = tuple(a - b for a, b in zip(m, lead))
+            rows.append({index[tuple(a + b for a, b in zip(t, e))]: v for e, v in terms.items()})
     ech = echelon(rows)
-    sl = DegreeSlice(gs.n, d, ech.rank, ech)
-    gs._slices[d] = sl
-    return sl
+    mons = monomials(n, d)
+    for p, row in ech.pivot_rows.items():
+        if p in reducers:
+            continue
+        lead = mons[p]
+        k = len(basis)
+        for i, (other, _) in enumerate(basis):
+            if any(a and b for a, b in zip(lead, other)):
+                m = tuple(max(a, b) for a, b in zip(lead, other))
+                gs._pairs.setdefault(sum(m), []).append((i, k, m))
+        basis.append((lead, {mons[c]: v for c, v in row.items()}))
+        reducers[p] = (k, row)
+    gs._reducers = reducers
+    gs._slices[d] = DegreeSlice(n, d, ech.rank, ech)
+
+
+@cache
+def _variable_shifts(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """For each variable x_i, the degree-(d + 1) column of x_i times each
+    degree-d monomial, indexed by the degree-d column."""
+    index = _monomial_index(n, d + 1)
+    return tuple(
+        tuple(index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monomials(n, d))
+        for i in range(n)
+    )
 
 
 def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
@@ -394,6 +475,7 @@ def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
     cycle type.  Once some degree slice fills the whole space the quotient
     is zero from there on, so the series is flagged exact.
     """
+    require_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if not gs.is_stable():
@@ -543,6 +625,8 @@ def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSe
     dimension count prod(degrees) is conclusive; with fewer generators the
     verdict only covers degrees up to the reported horizon.
     """
+    if bound is not None and require_int(bound, "bound") < 0:
+        raise ValueError("bound must be nonnegative")
     r, n = len(gs.gens), gs.n
     if r > n:
         raise ValueError("more generators than variables can never be regular")

@@ -55,6 +55,18 @@ class TestCharacterCommand:
         assert code == 0
         assert "top:       degree 20002 (exact polynomial)" in out
 
+    def test_bound_above_ceiling_exits_2(self, capsys):
+        argv = ["character", "--n", "4", "--case", "III", "--d", "2", "--bound", "200000"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert "--bound must be at most 100000, got 200000" in err
+
+    def test_long_bound_still_works(self, capsys):
+        argv = ["character", "--n", "4", "--case", "III", "--d", "2", "--bound", "200"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "top:       truncated at degree 200" in out
+
 
 class TestClassifyCommand:
     def test_accepted(self, tmp_path, capsys):
@@ -183,6 +195,17 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["verify", "--gens", gens, "--against", "case III d=2.5 c=2"])
         assert code == 2 and not out
         assert "cannot parse '.5'" in err
+
+    def test_bound_above_ceiling_exits_2(self, capsys):
+        gens = os.path.join(GENS_DIR, "ex5.gens")
+        argv = ["verify", "--gens", gens, "--against", "case IV d=2 c=2,3", "--bound", "100001"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert "--bound must be at most 100000" in err
+        argv[-1] = "200"
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.strip().endswith("RESULT: MATCH")
 
 
 class TestTablesCommand:

@@ -1,11 +1,17 @@
-from math import comb
+from math import comb, prod
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from symci import oracle
+from symci._linalg import echelon
 from symci.characters import decompose
 from symci.classify import RepresentationType
 from symci.graded import quotient_character
 from symci.oracle import (
+    DegreeSlice,
     GeneratorSet,
     MultiPoly,
     divide_linear,
@@ -34,6 +40,83 @@ def x(i, n=4):
 
 def worked_generators(key, n=4):
     return GeneratorSet(tuple(parse_poly(s, n) for s in WORKED[key]["gens"]))
+
+
+def all_multiples_slice(gs, d):
+    """Reference degree-d slice, built from scratch: every monomial multiple
+    of every generator of degree <= d, then one echelon."""
+    index = {m: i for i, m in enumerate(monomials(gs.n, d))}
+    rows = [
+        {index[tuple(a + b for a, b in zip(m, e))]: v for e, v in g.terms.items()}
+        for g in gs.gens
+        if g.degree() <= d
+        for m in monomials(gs.n, d - g.degree())
+    ]
+    ech = echelon(rows)
+    return DegreeSlice(gs.n, d, ech.rank, ech)
+
+
+def reduced_rows(sl):
+    """The reduced echelon form, unit leads, as exponent dictionaries."""
+    return [b.terms for b in sl.basis()]
+
+
+def power_sum(k, n):
+    return parse_poly(" + ".join(f"x{i}^{k}" for i in range(1, n + 1)), n)
+
+
+def product_formula_dims(degrees, n):
+    """Coefficients of prod_c (1 + t + ... + t^(c-1)), the quotient
+    dimensions of a regular sequence of n forms of these degrees."""
+    dims = [1]
+    for c in degrees:
+        out = [0] * (len(dims) + c - 1)
+        for i, v in enumerate(dims):
+            for j in range(c):
+                out[i + j] += v
+        dims = out
+    return dims
+
+
+FAMILIES = {
+    "coinv": lambda n: [elementary_symmetric(k, n) for k in range(1, n + 1)],
+    "sq": lambda n: [x(i, n) * x(i, n) for i in range(1, n + 1)],
+    "psum": lambda n: [power_sum(k, n) for k in range(1, n + 1)],
+}
+
+
+def named_ideal(name):
+    """ex2..ex5, or a family of FAMILIES followed by n, e.g. "coinv5"."""
+    if name.startswith("ex"):
+        return worked_generators(name)
+    return GeneratorSet(tuple(FAMILIES[name[:-1]](int(name[-1]))))
+
+
+@st.composite
+def generator_lists(draw):
+    """Up to n homogeneous generators of degree <= 3 in n <= 4 variables:
+    random, symmetric, scalar multiples of an earlier generator
+    (dependent) and multiples of an earlier generator by a variable
+    (a shared factor, so not regular)."""
+    n = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, n))):
+        kinds = ["random", "symmetric"] + ["scaled", "shared"] * bool(gens)
+        kind = draw(st.sampled_from(kinds))
+        low = [g for g in gens if g.degree() < 3]
+        if kind == "scaled":
+            g = draw(st.sampled_from(gens)) * draw(st.sampled_from([-2, 1, 3]))
+        elif kind == "shared" and low:
+            g = draw(st.sampled_from(low)) * x(draw(st.integers(1, n)), n)
+        elif kind == "symmetric":
+            k = draw(st.integers(1, min(n, 3)))
+            g = elementary_symmetric(k, n) if draw(st.booleans()) else power_sum(k, n)
+        else:
+            mons = monomials(n, draw(st.integers(1, 3)))
+            support = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=5, unique=True))
+            g = MultiPoly(n, {m: draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for m in support})
+        gens.append(g)
+    return n, gens
 
 
 class TestMultiPoly:
@@ -162,6 +245,52 @@ class TestDegreeSlices:
         assert ideal_degree_slice(gs, 1).dimension == 0
         assert ideal_degree_slice(gs, 0).dimension == 0
 
+    def test_degree_must_be_an_integer(self):
+        gs = worked_generators("ex4")
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="^d must be an integer"):
+                ideal_degree_slice(gs, bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ideal_degree_slice(gs, -1)
+
+    def test_lower_degrees_built_first(self):
+        gs = worked_generators("ex5")
+        ideal_degree_slice(gs, 4)
+        assert sorted(gs._slices) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "name", [f"ex{k}" for k in range(2, 6)] + [f"{f}{n}" for f in FAMILIES for n in range(2, 6)]
+    )
+    def test_matches_all_multiples_reference(self, name):
+        gs = named_ideal(name)
+        horizon = sum(gs.degrees) - gs.n + 1
+        for d in range(horizon + 1):
+            got = ideal_degree_slice(gs, d)
+            want = all_multiples_slice(gs, d)
+            assert got.dimension == want.dimension, (name, d)
+            assert reduced_rows(got) == reduced_rows(want), (name, d)
+
+    @settings(max_examples=120, deadline=None)
+    @given(generator_lists())
+    @example((3, [elementary_symmetric(k, 3) for k in (1, 2, 3)]))
+    @example((2, [x(1, 2), 3 * x(1, 2)]))
+    @example((3, [x(1, 3) * x(2, 3), x(2, 3) * x(3, 3) * x(1, 3)]))
+    def test_regularity_report_matches_reference(self, spec):
+        n, gens = spec
+        gs = GeneratorSet(tuple(gens), n)
+        got = is_regular_sequence(gs)
+        with mock.patch.object(oracle, "ideal_degree_slice", all_multiples_slice):
+            want = is_regular_sequence(GeneratorSet(tuple(gens), n))
+        assert (got.ok, got.conclusive, got.horizon) == (want.ok, want.conclusive, want.horizon)
+        assert (got.actual, got.first_failure, got.message) == (
+            want.actual,
+            want.first_failure,
+            want.message,
+        )
+        for d in range(got.horizon + 1):
+            want_rows = reduced_rows(all_multiples_slice(gs, d))
+            assert reduced_rows(ideal_degree_slice(gs, d)) == want_rows, d
+
     def test_basis_is_reduced(self):
         gs = worked_generators("ex4")
         sl = ideal_degree_slice(gs, 3)
@@ -212,6 +341,12 @@ class TestQuotientCharacters:
                 reference = quotient_trace(gs, d, representative_permutation(mu))
                 for perm in perms:
                     assert quotient_trace(gs, d, perm) == reference, (d, mu)
+
+    def test_bound_must_be_an_integer(self):
+        gs = worked_generators("ex4")
+        for bad in (True, 3.0):
+            with pytest.raises(ValueError, match="^bound must be an integer"):
+                quotient_graded_character(gs, bad)
 
     def test_unstable_generators_rejected(self):
         gs = GeneratorSet((MultiPoly.variable(1, 3),))
@@ -312,6 +447,28 @@ class TestRegularSequences:
         assert report.ok and not report.conclusive
         assert report.horizon == 3
         assert "degree 3" in report.message
+
+    @pytest.mark.parametrize("name", ["coinv6", "psum5", "e5sq5"])
+    def test_conclusive_past_n5(self, name):
+        if name == "e5sq5":
+            e = [elementary_symmetric(k, 5) for k in range(1, 6)]
+            gs = GeneratorSet(tuple(e[:4]) + (e[4] ** 2,))
+        else:
+            gs = named_ideal(name)
+        report = is_regular_sequence(gs)
+        assert report.ok and report.conclusive
+        dims = product_formula_dims(gs.degrees, gs.n)
+        assert list(report.actual) == (dims + [0])[: report.horizon + 1]
+        assert sum(report.actual) == prod(gs.degrees)
+
+    def test_bound_must_be_an_integer(self):
+        gs = GeneratorSet((elementary_symmetric(1, 3), elementary_symmetric(2, 3)))
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="^bound must be an integer"):
+                is_regular_sequence(gs, bound=bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            is_regular_sequence(gs, bound=-1)
+        assert is_regular_sequence(gs, bound=2).horizon == 2
 
     def test_too_many_generators_rejected(self):
         gens = tuple(elementary_symmetric(k, 2) for k in (1, 2)) + (x(1, 2) * x(1, 2),)
