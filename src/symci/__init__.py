@@ -29,7 +29,6 @@ from .characters import (
     decompose,
     inner_product,
     irreducible_character,
-    multiply,
     sign_character,
     trivial_character,
 )
@@ -56,7 +55,6 @@ from .oracle import (
     GeneratorSet,
     MultiPoly,
     RegularSequenceReport,
-    divide_linear,
     elementary_symmetric,
     ideal_degree_slice,
     is_regular_sequence,

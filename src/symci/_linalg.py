@@ -151,40 +151,3 @@ def echelon(rows, reduced: bool = False) -> Echelon:
         ech.ensure_reduced()
     return ech
 
-
-def solve(columns: list[dict], rhs: dict) -> list[Fraction]:
-    """Solve sum_j x_j * columns[j] = rhs; the solution must be unique.
-
-    Dense Gauss-Jordan over the union of row indices; raises when the
-    system is inconsistent or the columns are dependent.
-    """
-    index_union: set = set(rhs)
-    for col in columns:
-        index_union |= set(col)
-    rows_idx = sorted(index_union)
-    k = len(columns)
-    mat = [
-        [Fraction(columns[j].get(m, 0)) for j in range(k)] + [Fraction(rhs.get(m, 0))]
-        for m in rows_idx
-    ]
-    piv_of_col: list[int | None] = [None] * k
-    rank = 0
-    for col in range(k):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        piv_of_col[col] = rank
-        rank += 1
-    if any(p is None for p in piv_of_col):
-        raise ValueError("columns are linearly dependent; no unique solution")
-    for r in range(rank, len(mat)):
-        if mat[r][k]:
-            raise ValueError("right-hand side is outside the column span")
-    return [mat[piv_of_col[c]][k] for c in range(k)]

@@ -102,15 +102,17 @@ class ClassFunction:
         return f"ClassFunction({self.n}, {body})"
 
     def to_json(self) -> dict[str, int]:
-        return {
-            ",".join(str(p) for p in mu): v
-            for mu in partitions_of(self.n)
-            if (v := self.values.get(mu))
-        }
+        return {key: v for mu, key in _json_keys(self.n) if (v := self.values.get(mu))}
 
     @classmethod
     def from_json(cls, n: int, obj: dict) -> "ClassFunction":
         return cls(n, {parse_partition(k): v for k, v in obj.items()})
+
+
+@cache
+def _json_keys(n: int) -> tuple[tuple[Partition, str], ...]:
+    """Each partition of n with its JSON key ("2,1,1"), in listing order."""
+    return tuple((mu, ",".join(str(p) for p in mu)) for mu in partitions_of(n))
 
 
 def trivial_character(n: int) -> ClassFunction:
@@ -155,11 +157,6 @@ def _irreducible_character(lam: Partition) -> ClassFunction:
     if n < 1:
         raise ValueError("need a partition of n >= 1")
     return ClassFunction(n, {mu: _mn(tuple(lam), tuple(mu)) for mu in partitions_of(n)})
-
-
-def multiply(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    """Pointwise product (the character of a tensor product)."""
-    return a * b
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:

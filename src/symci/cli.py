@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .characters import irreducible_character
+from .characters import _json_keys, irreducible_character
 from .classify import (
     IrredMultiset,
     Rejection,
@@ -22,7 +22,9 @@ from .classify import (
 )
 from .graded import (
     GradedCharacter,
+    coinvariant_character,
     hilbert_series,
+    polynomial_ring_character,
     quotient_character,
     socle_analysis,
 )
@@ -33,12 +35,13 @@ from .oracle import (
     representative_permutation,
 )
 from .partitions import Partition, class_size, partitions_of
-from .tableaux import kostka_foulkes_tilde
+from .tableaux import UnivariatePoly, kostka_foulkes_tilde
 
 SCHEMA = "symci/1"
 DEFAULT_BOUND = 10
-# The series work and memory grow linearly with --bound; past this the
-# answer is refused instead of risking gigabytes.
+# The series work and memory grow linearly with --bound and with the
+# numerator degree; past this the answer is refused instead of risking
+# gigabytes.
 MAX_BOUND = 100_000
 
 
@@ -114,86 +117,90 @@ def _parse_against(text: str) -> RepresentationType:
     leftover = _AGAINST_ITEM.sub("", rest).strip()
     if leftover:
         raise ValueError(f"cannot parse {leftover!r} in --against {text!r}")
-    d = None
-    c = ""
+    items: dict[str, str] = {}
     for key, value in _AGAINST_ITEM.findall(rest):
-        if key == "d":
-            d = int(value)
-        elif key == "c":
-            c = value
-        else:
+        if key not in ("d", "c"):
             raise ValueError(f"unknown key {key!r} in --against")
-    return _rep_type_from_flags(case, d, c)
+        if key in items:
+            raise ValueError(f"repeated key {key!r} in --against {text!r}")
+        items[key] = value
+    d = items.get("d")
+    return _rep_type_from_flags(case, None if d is None else int(d), items.get("c", ""))
 
 
-def _character_payload(rt: RepresentationType, n: int, g: GradedCharacter) -> dict:
+def _check_size(rt: RepresentationType, n: int, bound: int) -> None:
+    """Refuse, before any series work, a --bound or a numerator degree
+    above MAX_BOUND: the series is as long as the larger of the two."""
+    if bound > MAX_BOUND:
+        raise ValueError(f"--bound must be at most {MAX_BOUND}, got {bound}")
+    d = rt.special_degree
+    own = 0 if d is None else {"II": 1, "III": n - 1, "IV": 2}[rt.case_tag] * d
+    degree = sum(rt.trivial_degrees) + own
+    if degree > MAX_BOUND:
+        raise ValueError(f"numerator degree must be at most {MAX_BOUND}, got {degree}")
+
+
+def _dump(payload: dict) -> str:
+    return json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+def _type_label(t: dict) -> str:
+    """"case III, d = 2, c = (2)" from the case, d and c of a payload."""
+    d_str = "" if t["d"] is None else f", d = {t['d']}"
+    return f"case {t['case']}{d_str}, c = (" + ",".join(str(c) for c in t["c"]) + ")"
+
+
+def _socle_kind(g: GradedCharacter) -> str | None:
+    """The top piece of an exact series when it is one-dimensional:
+    "trivial", "alternating" or "other"; None otherwise."""
+    if not g.exact or g.coefficient(g.top_degree()).dimension() != 1:
+        return None
+    report = socle_analysis(g)
+    if report.top_is_trivial:
+        return "trivial"
+    return "alternating" if report.top_is_alternating else "other"
+
+
+def _character_text(p: dict, g: GradedCharacter) -> str:
+    if "top_degree" in p:
+        top = f"degree {p['top_degree']} (exact polynomial)"
+        if "socle" in p:
+            top += f"; socle: {p['socle']}"
+    else:
+        bound = p["graded_character"]["bound"]
+        top = f"truncated at degree {bound} (series does not terminate there)"
+    return "\n".join(
+        [
+            f"n = {p['n']}, {_type_label(p)}",
+            f"character: {g.pretty()}",
+            "hilbert:   " + " ".join(str(v) for v in p["hilbert_series"]),
+            f"top:       {top}",
+        ]
+    )
+
+
+def _cmd_character(args) -> int:
+    try:
+        rt = _rep_type_from_flags(args.case, args.d, args.c)
+        _check_size(rt, args.n, args.bound)
+        g = quotient_character(rt, args.n, args.bound)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "schema": SCHEMA,
         "command": "character",
-        "n": n,
-        "case": rt.case_tag,
-        "d": rt.special_degree,
-        "c": list(rt.trivial_degrees),
+        "n": args.n,
+        **rt.to_json(),
         "graded_character": g.to_json(),
         "hilbert_series": hilbert_series(g),
     }
     if g.exact:
         payload["top_degree"] = g.top_degree()
-        top = g.coefficient(g.top_degree())
-        if top.dimension() == 1:
-            report = socle_analysis(g)
-            payload["socle"] = (
-                "trivial"
-                if report.top_is_trivial
-                else "alternating"
-                if report.top_is_alternating
-                else "other"
-            )
-    return payload
-
-
-def _print_character_text(rt: RepresentationType, n: int, g: GradedCharacter) -> None:
-    c_str = "(" + ",".join(str(c) for c in rt.trivial_degrees) + ")"
-    d_str = "" if rt.special_degree is None else f", d = {rt.special_degree}"
-    print(f"n = {n}, case {rt.case_tag}{d_str}, c = {c_str}")
-    print(f"character: {g.pretty()}")
-    dims = hilbert_series(g)
-    print("hilbert:   " + " ".join(str(v) for v in dims))
-    if g.exact:
-        top = g.top_degree()
-        line = f"top:       degree {top} (exact polynomial)"
-        if g.coefficient(top).dimension() == 1:
-            report = socle_analysis(g)
-            kind = (
-                "trivial"
-                if report.top_is_trivial
-                else "alternating"
-                if report.top_is_alternating
-                else "other"
-            )
-            line += f"; socle: {kind}"
-        print(line)
-    else:
-        print(f"top:       truncated at degree {g.bound} (series does not terminate there)")
-
-
-def _check_bound(bound: int) -> None:
-    if bound > MAX_BOUND:
-        raise ValueError(f"--bound must be at most {MAX_BOUND}, got {bound}")
-
-
-def _cmd_character(args) -> int:
-    try:
-        _check_bound(args.bound)
-        rt = _rep_type_from_flags(args.case, args.d, args.c)
-        g = quotient_character(rt, args.n, args.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(_character_payload(rt, args.n, g), ensure_ascii=False, indent=2))
-    else:
-        _print_character_text(rt, args.n, g)
+        kind = _socle_kind(g)
+        if kind:
+            payload["socle"] = kind
+    print(_dump(payload) if args.json else _character_text(payload, g))
     return 0
 
 
@@ -207,6 +214,14 @@ def _load_multiset(path: str) -> IrredMultiset:
     return IrredMultiset(n, tuple(summands))
 
 
+def _classify_text(p: dict) -> str:
+    if p["result"] == "rejected":
+        witness = ", ".join(f"{Partition(w['partition'])}:{w['degree']}" for w in p["witness"])
+        return f"rejected by {p['rule']}: {p['message']} (witness: {witness or '-'})"
+    note = " [degenerate small n]" if p["degenerate_small_n"] else ""
+    return f"accepted: {_type_label(p)}{note}"
+
+
 def _cmd_classify(args) -> int:
     try:
         ms = _load_multiset(args.input)
@@ -214,33 +229,43 @@ def _cmd_classify(args) -> int:
         print(f"error: cannot read multiset: {exc}", file=sys.stderr)
         return 2
     result = classify_multiset(ms)
-    degenerate = ms.n <= 3
-    if args.json:
-        payload = {"schema": SCHEMA, "command": "classify", "n": ms.n}
-        if isinstance(result, Rejection):
-            payload["result"] = "rejected"
-            payload.update(result.to_json())
-        else:
-            payload["result"] = "accepted"
-            payload.update(result.to_json())
-            payload["degenerate_small_n"] = degenerate
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-        return 0
-    if isinstance(result, Rejection):
-        witness = ", ".join(f"{lam}:{d}" for lam, d in result.witness) or "-"
-        print(f"rejected by {result.rule}: {result.message} (witness: {witness})")
-    else:
-        c_str = "(" + ",".join(str(c) for c in result.trivial_degrees) + ")"
-        d_str = "" if result.special_degree is None else f", d = {result.special_degree}"
-        note = " [degenerate small n]" if degenerate else ""
-        print(f"accepted: case {result.case_tag}{d_str}, c = {c_str}{note}")
+    accepted = not isinstance(result, Rejection)
+    payload = {
+        "schema": SCHEMA,
+        "command": "classify",
+        "n": ms.n,
+        "result": "accepted" if accepted else "rejected",
+        **result.to_json(),
+    }
+    if accepted:
+        payload["degenerate_small_n"] = ms.n <= 3
+    print(_dump(payload) if args.json else _classify_text(payload))
     return 0
+
+
+def _verify_text(p: dict, formula: GradedCharacter, oracle_side: GradedCharacter) -> str:
+    t = p["against"]
+    lines = [
+        f"n = {p['n']}, generators of degrees {tuple(p['generator_degrees'])}",
+        f"against: case {t['case']}, d = {t['d']}, c = {tuple(t['c'])}",
+    ]
+    for row in p["degrees"]:
+        d = row["degree"]
+        if row["match"]:
+            lines.append(f"degree {d}: MATCH")
+        else:
+            lines.append(
+                f"degree {d}: MISMATCH formula={formula.coefficient(d).to_json()} "
+                f"oracle={oracle_side.coefficient(d).to_json()}"
+            )
+    lines.append("RESULT: " + ("MATCH" if p["match"] else "MISMATCH"))
+    return "\n".join(lines)
 
 
 def _cmd_verify(args) -> int:
     try:
-        _check_bound(args.bound)
         rt = _parse_against(args.against)
+        _check_size(rt, args.n, args.bound)
         with open(args.gens, encoding="utf-8") as handle:
             gs = parse_generator_file(handle.read(), args.n)
         formula = quotient_character(rt, args.n, args.bound)
@@ -253,37 +278,21 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    degrees = []
-    all_match = True
-    for d in range(compare_bound + 1):
-        match = formula.coefficient(d) == oracle_side.coefficient(d)
-        all_match &= match
-        degrees.append((d, match))
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "verify",
-            "n": args.n,
-            "against": rt.to_json(),
-            "generator_degrees": list(gs.degrees),
-            "compare_bound": compare_bound,
-            "degrees": [{"degree": d, "match": m} for d, m in degrees],
-            "match": all_match,
-        }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-        return 0 if all_match else 1
-    print(f"n = {args.n}, generators of degrees {tuple(gs.degrees)}")
-    print(f"against: case {rt.case_tag}, d = {rt.special_degree}, c = {rt.trivial_degrees}")
-    for d, match in degrees:
-        if match:
-            print(f"degree {d}: MATCH")
-        else:
-            print(
-                f"degree {d}: MISMATCH formula={formula.coefficient(d).to_json()} "
-                f"oracle={oracle_side.coefficient(d).to_json()}"
-            )
-    print("RESULT: " + ("MATCH" if all_match else "MISMATCH"))
-    return 0 if all_match else 1
+    matches = [
+        formula.coefficient(d) == oracle_side.coefficient(d) for d in range(compare_bound + 1)
+    ]
+    payload = {
+        "schema": SCHEMA,
+        "command": "verify",
+        "n": args.n,
+        "against": rt.to_json(),
+        "generator_degrees": list(gs.degrees),
+        "compare_bound": compare_bound,
+        "degrees": [{"degree": d, "match": m} for d, m in enumerate(matches)],
+        "match": all(matches),
+    }
+    print(_dump(payload) if args.json else _verify_text(payload, formula, oracle_side))
+    return 0 if payload["match"] else 1
 
 
 def _class_order(n: int) -> list[Partition]:
@@ -301,40 +310,35 @@ def _class_label(mu: Partition) -> str:
     return "".join("(" + " ".join(str(v) for v in cyc) + ")" for cyc in cycles)
 
 
-def _chi_label(lam: Partition) -> str:
-    return "χ[" + ",".join(str(p) for p in lam) + "]"
-
-
-def _character_table_text(n: int) -> str:
-    classes = _class_order(n)
-    rows = partitions_of(n)
-    head = ["class size", "representative"]
-    body_labels = [_chi_label(lam) for lam in rows]
-    label_width = max(len(s) for s in head + body_labels)
-    columns = []
-    for mu in classes:
-        entries = [str(class_size(mu)), _class_label(mu)]
-        entries += [str(irreducible_character(lam).value(mu)) for lam in rows]
-        columns.append(entries)
-    widths = [max(len(e) for e in col) for col in columns]
-    lines = [f"Character table of S_{n}"]
-    for r, label in enumerate(head):
-        cells = " ".join(col[r].rjust(w) for col, w in zip(columns, widths))
-        lines.append(f"{label.ljust(label_width)} | {cells}")
-    lines.append("-" * label_width + "-+-" + "-" * (sum(widths) + len(widths) - 1))
-    for r, label in enumerate(body_labels):
-        cells = " ".join(col[r + 2].rjust(w) for col, w in zip(columns, widths))
-        lines.append(f"{label.ljust(label_width)} | {cells}")
-    return "\n".join(lines)
-
-
-def _kostka_table_text(n: int) -> str:
+def _kostka_column(n: int) -> dict[str, dict[str, int]]:
+    """K~(λ, 1^n) for every λ ⊢ n, as JSON."""
     column = Partition([1] * n)
-    lines = [f"Modified Kostka-Foulkes polynomials K~(λ, {column}):"]
-    labels = ["K~" + "[" + ",".join(str(p) for p in lam) + "]" for lam in partitions_of(n)]
+    return {key: kostka_foulkes_tilde(lam, column).to_json() for lam, key in _json_keys(n)}
+
+
+def _character_table_text(p: dict) -> str:
+    labels = ["class size", "representative"] + [f"χ[{key}]" for key in p["characters"]]
+    label_width = max(len(s) for s in labels)
+    columns = [[str(c["size"]), c["representative"]] for c in p["classes"]]
+    for values in p["characters"].values():
+        for col, v in zip(columns, values):
+            col.append(str(v))
+    widths = [max(len(e) for e in col) for col in columns]
+    lines = [
+        f"{label.ljust(label_width)} | "
+        + " ".join(col[r].rjust(w) for col, w in zip(columns, widths))
+        for r, label in enumerate(labels)
+    ]
+    lines.insert(2, "-" * label_width + "-+-" + "-" * (sum(widths) + len(widths) - 1))
+    return "\n".join([f"Character table of S_{p['n']}"] + lines)
+
+
+def _kostka_text(n: int, column: dict[str, dict[str, int]]) -> str:
+    labels = [f"K~[{key}]" for key in column]
     width = max(len(s) for s in labels)
-    for lam, label in zip(partitions_of(n), labels):
-        lines.append(f"{label.ljust(width)} = {kostka_foulkes_tilde(lam, column)!r}")
+    lines = [f"Modified Kostka-Foulkes polynomials K~(λ, {Partition([1] * n)}):"]
+    for label, poly in zip(labels, column.values()):
+        lines.append(f"{label.ljust(width)} = {UnivariatePoly(poly)!r}")
     return "\n".join(lines)
 
 
@@ -343,36 +347,27 @@ def _cmd_tables(args) -> int:
         print("error: need n >= 1", file=sys.stderr)
         return 2
     n = args.n
+    classes = _class_order(n)
+    payload = {
+        "schema": SCHEMA,
+        "command": "tables",
+        "n": n,
+        "classes": [
+            {"cycle_type": list(mu), "size": class_size(mu), "representative": _class_label(mu)}
+            for mu in classes
+        ],
+        "characters": {
+            key: [irreducible_character(lam).value(mu) for mu in classes]
+            for lam, key in _json_keys(n)
+        },
+        "kostka_foulkes_tilde": _kostka_column(n),
+    }
     if args.json:
-        column = Partition([1] * n)
-        payload = {
-            "schema": SCHEMA,
-            "command": "tables",
-            "n": n,
-            "classes": [
-                {
-                    "cycle_type": list(mu),
-                    "size": class_size(mu),
-                    "representative": _class_label(mu),
-                }
-                for mu in _class_order(n)
-            ],
-            "characters": {
-                ",".join(str(p) for p in lam): [
-                    irreducible_character(lam).value(mu) for mu in _class_order(n)
-                ]
-                for lam in partitions_of(n)
-            },
-            "kostka_foulkes_tilde": {
-                ",".join(str(p) for p in lam): kostka_foulkes_tilde(lam, column).to_json()
-                for lam in partitions_of(n)
-            },
-        }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-        return 0
-    print(_character_table_text(n))
-    print()
-    print(_kostka_table_text(n))
+        print(_dump(payload))
+    else:
+        print(_character_table_text(payload))
+        print()
+        print(_kostka_text(n, payload["kostka_foulkes_tilde"]))
     return 0
 
 
@@ -404,69 +399,51 @@ WORKED_EXAMPLES = (
 )
 
 
-def _examples_text() -> str:
-    from .graded import coinvariant_character, polynomial_ring_character
-
-    lines: list[str] = []
-    lines.append("Example 1: the coinvariant algebra of S_4")
-    lines.append(_kostka_table_text(4))
-    lines.append("graded character of the coinvariant algebra:")
-    lines.append("  " + coinvariant_character(4).pretty())
-    lines.append("graded character of the polynomial ring through t^4:")
-    lines.append("  " + polynomial_ring_character(4, 4).pretty())
-    for idx, ex in enumerate(WORKED_EXAMPLES, start=2):
-        rt = ex["rt"]
-        g = quotient_character(rt, 4)
-        report = socle_analysis(g)
-        kind = "trivial" if report.top_is_trivial else "alternating"
-        lines.append("")
-        lines.append(f"Example {idx}: {ex['title']}")
-        lines.append(f"generators: {ex['gens']}")
-        d_str = "" if rt.special_degree is None else f", d = {rt.special_degree}"
-        lines.append(
-            f"type: case {rt.case_tag}{d_str}, c = ("
-            + ",".join(str(c) for c in rt.trivial_degrees)
-            + ")"
-        )
-        lines.append("quotient character:")
-        lines.append("  " + g.pretty())
-        lines.append(f"socle: degree {report.top_degree}, {kind}")
+def _examples_text(p: dict, coinvariant, ring, quotients) -> str:
+    lines = [
+        "Example 1: the coinvariant algebra of S_4",
+        _kostka_text(4, p["kostka_foulkes_tilde"]),
+        "graded character of the coinvariant algebra:",
+        "  " + coinvariant.pretty(),
+        "graded character of the polynomial ring through t^4:",
+        "  " + ring.pretty(),
+    ]
+    for idx, (ex, q, g) in enumerate(zip(WORKED_EXAMPLES, p["quotients"], quotients), start=2):
+        lines += [
+            "",
+            f"Example {idx}: {ex['title']}",
+            f"generators: {q['generators']}",
+            f"type: {_type_label(q['type'])}",
+            "quotient character:",
+            "  " + g.pretty(),
+            f"socle: degree {g.top_degree()}, {q['socle']}",
+        ]
     return "\n".join(lines)
 
 
 def _cmd_examples(args) -> int:
-    if args.json:
-        from .graded import coinvariant_character, polynomial_ring_character
-
-        payload = {
-            "schema": SCHEMA,
-            "command": "examples",
-            "coinvariant_character": coinvariant_character(4).to_json(),
-            "polynomial_ring_character_bound4": polynomial_ring_character(4, 4).to_json(),
-            "kostka_foulkes_tilde": {
-                ",".join(str(p) for p in lam): kostka_foulkes_tilde(
-                    lam, Partition([1, 1, 1, 1])
-                ).to_json()
-                for lam in partitions_of(4)
-            },
-            "quotients": [],
-        }
-        for ex in WORKED_EXAMPLES:
-            g = quotient_character(ex["rt"], 4)
-            report = socle_analysis(g)
-            payload["quotients"].append(
-                {
-                    "name": ex["name"],
-                    "generators": ex["gens"],
-                    "type": ex["rt"].to_json(),
-                    "graded_character": g.to_json(),
-                    "hilbert_series": hilbert_series(g),
-                    "socle": "trivial" if report.top_is_trivial else "alternating",
-                }
-            )
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-        return 0
-    print(_examples_text())
+    coinvariant = coinvariant_character(4)
+    ring = polynomial_ring_character(4, 4)
+    quotients = [quotient_character(ex["rt"], 4) for ex in WORKED_EXAMPLES]
+    payload = {
+        "schema": SCHEMA,
+        "command": "examples",
+        "coinvariant_character": coinvariant.to_json(),
+        "polynomial_ring_character_bound4": ring.to_json(),
+        "kostka_foulkes_tilde": _kostka_column(4),
+        "quotients": [
+            {
+                "name": ex["name"],
+                "generators": ex["gens"],
+                "type": ex["rt"].to_json(),
+                "graded_character": g.to_json(),
+                "hilbert_series": hilbert_series(g),
+                "socle": _socle_kind(g),
+            }
+            for ex, g in zip(WORKED_EXAMPLES, quotients)
+        ],
+    }
+    print(_dump(payload) if args.json else _examples_text(payload, coinvariant, ring, quotients))
     return 0
 
 

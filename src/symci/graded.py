@@ -21,7 +21,6 @@ from .partitions import Partition, partitions_of, require_int
 
 __all__ = [
     "GradedCharacter",
-    "RepresentationType",
     "SocleReport",
     "coinvariant_character",
     "polynomial_ring_character",

@@ -138,17 +138,6 @@ class MultiPoly:
             out[tuple(new)] = c
         return MultiPoly(self.n, out)
 
-    def substitute_variable(self, i: int, j: int) -> "MultiPoly":
-        """Replace x_i by x_j (1-based indices)."""
-        out: dict[tuple[int, ...], object] = {}
-        for exps, c in self.terms.items():
-            e = list(exps)
-            e[j - 1] += e[i - 1]
-            e[i - 1] = 0
-            key = tuple(e)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(self.n, out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -558,30 +547,6 @@ def standard_rep_lift(d: int, n: int) -> tuple[GeneratorSet, GeneratorSet]:
         powers.append(MultiPoly(n, {tuple(exps): 1}))
     diffs = [powers[i] - powers[i + 1] for i in range(n - 1)]
     return GeneratorSet(tuple(powers)), GeneratorSet(tuple(diffs))
-
-
-def divide_linear(p: MultiPoly, i: int, j: int) -> tuple[MultiPoly, MultiPoly]:
-    """Write p = q * (x_i - x_j) + r with r = p evaluated at x_i -> x_j.
-
-    The remainder vanishes exactly when p is divisible by x_i - x_j.
-    """
-    n = p.n
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError("need two distinct variable indices")
-    q: dict[tuple[int, ...], object] = {}
-    for exps, c in p.terms.items():
-        a = exps[i - 1]
-        for k in range(1, a + 1):
-            e = list(exps)
-            e[i - 1] = k - 1
-            e[j - 1] += a - k
-            key = tuple(e)
-            v = q.get(key, 0) + c
-            if v:
-                q[key] = v
-            elif key in q:
-                del q[key]
-    return MultiPoly(n, q), p.substitute_variable(i, j)
 
 
 @dataclass

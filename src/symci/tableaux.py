@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from ._linalg import solve
+from ._linalg import echelon
 from ._tpoly import divmod_poly, product_one_minus
 from .partitions import Partition, conjugate, n_stat
 
@@ -426,17 +426,40 @@ def _column_difference_product(rows: tuple[tuple[int, ...], ...], n: int) -> dic
 
 
 @cache
-def _standard_basis_polys(shape):
+def _standard_basis_echelon(shape: Partition):
+    """The standard tableaux of a shape, an index of the monomials of their
+    column difference products, and the echelon form of those products.
+
+    Basis polynomial k carries a tag column len(index) + k, placed after
+    every monomial column, so a pivot only lands on a tag column when the
+    polynomials are dependent.
+    """
     basis = standard_tableaux(shape)
-    n = Partition(shape).n
-    return basis, tuple(_column_difference_product(t.rows, n) for t in basis)
+    polys = [_column_difference_product(t.rows, shape.n) for t in basis]
+    index = {m: c for c, m in enumerate(sorted({m for p in polys for m in p}))}
+    tag = len(index)
+    ech = echelon(
+        {**{index[m]: v for m, v in p.items()}, tag + k: 1} for k, p in enumerate(polys)
+    )
+    if max(ech.pivot_rows, default=-1) >= tag:
+        raise ValueError("columns are linearly dependent; no unique solution")
+    return basis, index, ech
 
 
 def _expand_in_standard_basis(rows, shape) -> TableauCombination:
-    basis, cols = _standard_basis_polys(Partition(shape))
-    target = _column_difference_product(tuple(tuple(r) for r in rows), Partition(shape).n)
-    sol = solve(list(cols), target)
-    return TableauCombination({b: c for b, c in zip(basis, sol)})
+    """Solve target = sum_k x_k * poly_k: reducing the target by the tagged
+    echelon leaves -sum_k x_k * tag_k, plus monomial support if the target
+    is outside the span."""
+    shape = Partition(shape)
+    basis, index, ech = _standard_basis_echelon(shape)
+    target = _column_difference_product(rows, shape.n)
+    # a monomial no basis polynomial has gets its own negative column,
+    # which no pivot touches
+    rest = ech.reduce({index.get(m, -1 - j): v for j, (m, v) in enumerate(target.items())})
+    tag = len(index)
+    if any(c < tag for c in rest):
+        raise ValueError("right-hand side is outside the column span")
+    return TableauCombination({b: -rest.get(tag + k, 0) for k, b in enumerate(basis)})
 
 
 def apply_transposition(i: int, t: Tableau, j: int | None = None) -> TableauCombination:

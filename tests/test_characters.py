@@ -11,7 +11,6 @@ from symci.characters import (
     decompose,
     inner_product,
     irreducible_character,
-    multiply,
     sign_character,
     trivial_character,
 )
@@ -94,19 +93,19 @@ class TestProducts:
     def test_trivial_is_identity(self):
         for lam in partitions_of(5):
             chi = irreducible_character(lam)
-            assert multiply(trivial_character(5), chi) == chi
+            assert trivial_character(5) * chi == chi
 
     def test_sign_squares_to_trivial(self):
         chi = irreducible_character((1, 1, 1, 1))
-        assert multiply(chi, chi) == trivial_character(4)
+        assert chi * chi == trivial_character(4)
 
     def test_sign_twist_of_standard(self):
-        lhs = multiply(irreducible_character((3, 1)), irreducible_character((1, 1, 1, 1)))
+        lhs = irreducible_character((3, 1)) * irreducible_character((1, 1, 1, 1))
         assert lhs == irreducible_character((2, 1, 1))
 
     def test_mismatched_groups_rejected(self):
         with pytest.raises(ValueError):
-            multiply(trivial_character(3), trivial_character(4))
+            trivial_character(3) * trivial_character(4)
 
 
 class TestInnerProduct:
@@ -124,7 +123,7 @@ class TestInnerProduct:
         # brute force from the 5x5 table: (1*9*2 + 3*1*2) / 24 = 1
         chi31 = irreducible_character((3, 1))
         chi22 = irreducible_character((2, 2))
-        assert inner_product(multiply(chi31, chi31), chi22) == 1
+        assert inner_product(chi31 * chi31, chi22) == 1
 
 
 class TestDecompose:
@@ -139,7 +138,7 @@ class TestDecompose:
 
     def test_standard_squared(self):
         chi31 = irreducible_character((3, 1))
-        assert decompose(multiply(chi31, chi31)) == {
+        assert decompose(chi31 * chi31) == {
             Partition([4]): 1,
             Partition([3, 1]): 1,
             Partition([2, 2]): 1,

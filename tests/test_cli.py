@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from symci.cli import main
 
 GENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "gens")
@@ -66,6 +68,21 @@ class TestCharacterCommand:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert "top:       truncated at degree 200" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--case", "I", "--c", "1,2,3,99995"],
+            ["--case", "II", "--d", "99999", "--c", "2"],
+            ["--case", "III", "--d", "33333", "--c", "2"],
+            ["--case", "IV", "--d", "50000", "--c", "1"],
+        ],
+    )
+    def test_numerator_degree_above_ceiling_exits_2(self, capsys, flags):
+        # sum of c plus d (II), (n-1)d (III) or 2d (IV) is 100001 in each
+        code, out, err = run(capsys, ["character", "--n", "4"] + flags)
+        assert code == 2 and not out
+        assert "numerator degree must be at most 100000, got 100001" in err
 
 
 class TestClassifyCommand:
@@ -206,6 +223,20 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert out.strip().endswith("RESULT: MATCH")
+
+    def test_numerator_degree_above_ceiling_exits_2(self, capsys):
+        gens = os.path.join(GENS_DIR, "ex4.gens")
+        argv = ["verify", "--gens", gens, "--against", "case III d=33333 c=2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert "numerator degree must be at most 100000, got 100001" in err
+
+    @pytest.mark.parametrize("against", ["case III d=5 d=2 c=2", "case III d=2 c=2 c=3"])
+    def test_repeated_against_key_exits_2(self, capsys, against):
+        gens = os.path.join(GENS_DIR, "ex4.gens")
+        code, out, err = run(capsys, ["verify", "--gens", gens, "--against", against])
+        assert code == 2 and not out
+        assert "repeated key" in err
 
 
 class TestTablesCommand:

@@ -14,7 +14,6 @@ from symci.oracle import (
     DegreeSlice,
     GeneratorSet,
     MultiPoly,
-    divide_linear,
     elementary_symmetric,
     ideal_degree_slice,
     is_regular_sequence,
@@ -208,27 +207,6 @@ class TestSpans:
         assert stable.is_stable()
         lopsided = GeneratorSet((MultiPoly.variable(1, 3),))
         assert not lopsided.is_stable()
-
-
-class TestColumnPairDivisibility:
-    def test_square_span_image(self):
-        # the basis tableau with 1 and 2 in one column maps to g1
-        g1 = parse_poly("(x1 - x2)*(x3 - x4)", 4)
-        quotient, remainder = divide_linear(g1, 1, 2)
-        assert remainder.is_zero()
-        assert quotient == x(3) - x(4)
-
-    def test_power_difference_images(self):
-        for d in (1, 2, 3, 5):
-            p = parse_poly(f"x1^{d} - x2^{d}", 4)
-            quotient, remainder = divide_linear(p, 1, 2)
-            assert remainder.is_zero()
-            assert quotient * (x(1) - x(2)) == p
-
-    def test_non_divisible(self):
-        quotient, remainder = divide_linear(x(1), 1, 2)
-        assert not remainder.is_zero()
-        assert quotient * (x(1) - x(2)) + remainder == x(1)
 
 
 class TestDegreeSlices:

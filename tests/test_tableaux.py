@@ -3,8 +3,10 @@ from math import factorial
 
 import pytest
 
+from symci.characters import irreducible_character
 from symci.partitions import Partition, n_stat, partitions_of
 from symci.tableaux import (
+    _expand_in_standard_basis,
     Tableau,
     TableauCombination,
     UnivariatePoly,
@@ -239,6 +241,23 @@ class TestApplyTransposition:
             apply_transposition(1, T1, 4)  # 1 and 4 share no column, not adjacent
         with pytest.raises(ValueError):
             apply_transposition(1, Tableau([[2, 1], [3, 4]]))  # not standard
+
+    def test_traces_are_the_character_at_a_transposition(self):
+        # on the standard basis of every shape, the diagonal of (i, i+1)
+        # sums to chi^lam at cycle type (2, 1^(n-2)), for every i
+        for n in range(2, 7):
+            mu = Partition([2] + [1] * (n - 2))
+            for lam in partitions_of(n):
+                basis = standard_tableaux(lam)
+                for i in range(1, n):
+                    trace = sum(apply_transposition(i, t).coefficient(t) for t in basis)
+                    assert trace == irreducible_character(lam).value(mu), (lam, i)
+
+    def test_target_outside_the_span_is_refused(self):
+        # (x1 - x2)(x1 - x3) has the monomial x1^2, which no (2,2) basis
+        # polynomial has
+        with pytest.raises(ValueError, match="outside the column span"):
+            _expand_in_standard_basis(((1, 1), (2, 3)), (2, 2))
 
     def test_exterior_square_is_alternating(self):
         # the action matrix of each adjacent transposition has determinant -1
