@@ -85,14 +85,24 @@ class Echelon:
         return len(self.pivot_rows)
 
     def ensure_reduced(self) -> "Echelon":
-        """Back-eliminate so every pivot column appears in exactly one row."""
+        """Back-eliminate so every pivot column appears in exactly one row.
+
+        Rows are finished in decreasing pivot order, so every pivot row a
+        row meets is already reduced: eliminating one of its pivot columns
+        brings in no other, and the pivot columns of the row's own
+        support, largest first, are all the eliminations it needs.  The
+        work is proportional to the entries, not to rank squared.  Rows
+        are replaced, never modified in place, and `_combine` scales each
+        by a positive factor, so every lead keeps its sign.
+        """
         if self._reduced:
             return self
-        for p in sorted(self.pivot_rows, reverse=True):
-            prow = self.pivot_rows[p]
-            for q in list(self.pivot_rows):
-                if q < p and p in self.pivot_rows[q]:
-                    self.pivot_rows[q] = _combine(self.pivot_rows[q], prow, p)
+        rows = self.pivot_rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            for c in sorted((c for c in row if c != p and c in rows), reverse=True):
+                row = _combine(row, rows[c], c)
+            rows[p] = row
         self._reduced = True
         return self
 

@@ -12,7 +12,10 @@ of degree d, and the S-polynomial rows of the critical pairs of degree
 d (see `_build_slice`); every new pivot lead joins G.  These rows span
 exactly the degree-d piece of the ideal, so the reduced echelon form is
 the one the from-scratch construction from all monomial multiples of
-all generators gives, with far fewer rows.
+all generators gives, with far fewer rows.  Once every generator is in
+and no critical pair waits, G is a full Groebner basis, and the
+regular-sequence test reads the remaining quotient dimensions off the
+Hilbert series of <LM(G)> instead of building more slices.
 
 The module shares no code with the closed character formulas it is used
 to check.
@@ -284,6 +287,9 @@ class GeneratorSet:
         # Leading column of the top slice -> (the earliest basis element
         # whose lead divides it, that element's multiple with this lead).
         self._reducers: dict[int, tuple[int, dict[int, int]]] = {}
+        # The first degree d with every generator of degree <= d and no
+        # pair waiting past d: from there on G is a full Groebner basis.
+        self._complete: int | None = None
         self._stable: bool | None = None
 
     def __repr__(self) -> str:
@@ -412,6 +418,8 @@ def _build_slice(gs: GeneratorSet, d: int) -> None:
         reducers[p] = (k, row)
     gs._reducers = reducers
     gs._slices[d] = DegreeSlice(n, d, ech.rank, ech)
+    if gs._complete is None and d >= max(gs.degrees) and not gs._pairs:
+        gs._complete = d
 
 
 @cache
@@ -430,8 +438,12 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
 
     The quotient is identified with the span of the standard monomials;
     the permuted monomial is projected back along the ideal slice, which
-    takes a single reduced-echelon row lookup.
+    takes a single reduced-echelon row lookup.  `perm` must be a
+    permutation of range(n), as a sequence of ints.
     """
+    ints = all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
+    if not ints or sorted(perm) != list(range(gs.n)):
+        raise ValueError(f"perm must be a permutation of 0..{gs.n - 1}, got {perm!r}")
     sl = ideal_degree_slice(gs, d)
     mons = monomials(gs.n, d)
     index = _monomial_index(gs.n, d)
@@ -565,19 +577,79 @@ class RegularSequenceReport:
         return self.ok
 
 
-def _expected_quotient_dims(degrees, n: int, bound: int) -> list[int]:
-    """Coefficients of prod (1 - t^c_i) / (1 - t)^n through the bound."""
-    num = [0] * (bound + 1)
-    num[0] = 1
-    for c in degrees:
-        nxt = list(num)
-        for d in range(c, bound + 1):
-            nxt[d] -= num[d - c]
-        num = nxt
+def _series_dims(num: list[int], n: int, bound: int) -> list[int]:
+    """Coefficients of num(t) / (1 - t)^n through the bound."""
     return [
-        sum(num[k] * comb(n - 1 + d - k, d - k) for k in range(d + 1))
+        sum(num[k] * comb(n - 1 + d - k, d - k) for k in range(min(d, len(num) - 1) + 1))
         for d in range(bound + 1)
     ]
+
+
+def _times_one_minus_power(num: list[int], c: int) -> list[int]:
+    """num(t) * (1 - t^c)."""
+    out = num + [0] * c
+    for k, v in enumerate(num):
+        out[k + c] -= v
+    return out
+
+
+def _expected_quotient_dims(degrees, n: int, bound: int) -> list[int]:
+    """Coefficients of prod (1 - t^c_i) / (1 - t)^n through the bound."""
+    num = [1]
+    for c in degrees:
+        num = _times_one_minus_power(num, c)
+    return _series_dims(num, n, bound)
+
+
+def _minimal_monomials(mons) -> list[tuple[int, ...]]:
+    """The minimal generators of the monomial ideal the exponent vectors span."""
+    out: list[tuple[int, ...]] = []
+    for m in sorted(set(mons), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+            out.append(m)
+    return out
+
+
+def _monomial_numerator(gens: list[tuple[int, ...]]) -> list[int]:
+    """Numerator N(t) of the Hilbert series N(t) / (1 - t)^n of R / J, for
+    the monomial ideal J these exponent vectors generate (Bayer and
+    Stillman 1992).
+
+    Pairwise coprime generators give prod (1 - t^deg).  Otherwise the
+    pivot p = x_i^e, with x_i the variable in most generators and e its
+    least positive exponent among them, splits the series along the exact
+    sequence 0 -> R/(J : p)(-e) -> R/J -> R/(J + p) -> 0:
+    N(J) = N(J + p) + t^e N(J : p).  J + p has fewer generators, J : p
+    lower degrees.
+    """
+    n = len(gens[0]) if gens else 0
+    uses = [sum(1 for g in gens if g[i]) for i in range(n)]
+    if all(u <= 1 for u in uses):
+        num = [1]
+        for g in gens:
+            num = _times_one_minus_power(num, sum(g))
+        return num
+    i = max(range(n), key=uses.__getitem__)
+    e = min(g[i] for g in gens if g[i])
+    pivot = tuple(e if k == i else 0 for k in range(n))
+    plus = _monomial_numerator([g for g in gens if not g[i]] + [pivot])
+    colon = _monomial_numerator(
+        _minimal_monomials(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
+    )
+    out = plus + [0] * max(0, len(colon) + e - len(plus))
+    for k, v in enumerate(colon):
+        out[k + e] += v
+    return out
+
+
+def _lead_ideal_dims(gs: GeneratorSet, bound: int) -> list[int]:
+    """dim (R / <LM(G)>)_d for d = 0..bound, for the basis G built so far.
+
+    Once G is a full Groebner basis these are the quotient dimensions of
+    the ideal itself in every degree (Macaulay's theorem).
+    """
+    leads = _minimal_monomials(lead for lead, _ in gs._basis)
+    return _series_dims(_monomial_numerator(leads), gs.n, bound)
 
 
 def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSequenceReport:
@@ -589,6 +661,11 @@ def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSe
     agreement through degree sum(degrees) - n + 1 together with the total
     dimension count prod(degrees) is conclusive; with fewer generators the
     verdict only covers degrees up to the reported horizon.
+
+    Slices are built only up to the first degree where G is a full
+    Groebner basis (every generator in, no critical pair waiting), or
+    where the slice fills the whole degree; the later dimensions are read
+    off the leading monomials of G, or are zero.
     """
     if bound is not None and require_int(bound, "bound") < 0:
         raise ValueError("bound must be nonnegative")
@@ -605,8 +682,16 @@ def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSe
     expected = _expected_quotient_dims(gs.degrees, n, horizon)
     actual: list[int] = []
     first_failure = None
+    tail: list[int] | None = None
     for d in range(horizon + 1):
-        dim = comb(n + d - 1, d) - ideal_degree_slice(gs, d).dimension
+        if tail is None:
+            dim = comb(n + d - 1, d) - ideal_degree_slice(gs, d).dimension
+            if not dim:
+                tail = [0] * (horizon + 1)
+            elif gs._complete is not None and gs._complete <= d:
+                tail = _lead_ideal_dims(gs, horizon)
+        else:
+            dim = tail[d]
         actual.append(dim)
         if dim != expected[d]:
             first_failure = d

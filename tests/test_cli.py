@@ -265,6 +265,12 @@ class TestTablesCommand:
         assert payload["characters"]["3,1"] == [3, 1, 0, -1, -1]
         assert payload["kostka_foulkes_tilde"]["2,1,1"] == {"3": 1, "4": 1, "5": 1}
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_n_above_ceiling_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, ["tables", "--n", "21"] + flags)
+        assert code == 2 and not out
+        assert err.strip() == "error: --n must be at most 20, got 21"
+
 
 class TestExamplesCommand:
     def test_contains_all_sections(self, capsys):

@@ -1,12 +1,11 @@
 from math import comb, prod
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symci import oracle
-from symci._linalg import echelon
+from symci._linalg import _combine, echelon
 from symci.characters import decompose
 from symci.classify import RepresentationType
 from symci.graded import quotient_character
@@ -58,6 +57,60 @@ def all_multiples_slice(gs, d):
 def reduced_rows(sl):
     """The reduced echelon form, unit leads, as exponent dictionaries."""
     return [b.terms for b in sl.basis()]
+
+
+def reduced_by_pairwise_scan(pivot_rows):
+    """The O(rank^2) back-elimination that `Echelon.ensure_reduced` did
+    before the one-pass version: for each pivot, largest first, scan every
+    other row for it.  Kept as the reference for the one-pass rows."""
+    rows = dict(pivot_rows)
+    for p in sorted(rows, reverse=True):
+        prow = rows[p]
+        for q in list(rows):
+            if q < p and p in rows[q]:
+                rows[q] = _combine(rows[q], prow, p)
+    return rows
+
+
+def reference_report(gs):
+    """(ok, conclusive, horizon, actual, first_failure, message) of the
+    Hilbert-series test with no bound, from the ranks of
+    `all_multiples_slice` in every degree through the horizon, stopping at
+    the first deficit."""
+    r, n = len(gs.gens), gs.n
+    total = sum(gs.degrees)
+    horizon = max(total - n + 1, 0) if r == n else total
+    # prod (1 - t^c) / (1 - t)^n, starting from the series of 1 / (1 - t)^n
+    expected = [comb(n - 1 + d, d) for d in range(horizon + 1)]
+    for c in gs.degrees:
+        expected = [v - (expected[d - c] if d >= c else 0) for d, v in enumerate(expected)]
+    actual = []
+    for d in range(horizon + 1):
+        actual.append(comb(n + d - 1, d) - all_multiples_slice(gs, d).dimension)
+        if actual[-1] != expected[d]:
+            message = (
+                f"failed at degree {d}: quotient dimension {actual[-1]} != expected {expected[d]}"
+            )
+            return False, False, horizon, tuple(actual), d, message
+    if r < n:
+        message = f"no deficit found; verified up to degree {horizon} (not conclusive)"
+        return True, False, horizon, tuple(actual), None, message
+    volume = prod(gs.degrees)
+    if sum(actual) != volume:
+        return False, False, horizon, tuple(actual), None, f"total dimension {sum(actual)} != {volume}"
+    message = f"regular sequence (conclusive): artinian quotient of dimension {volume}"
+    return True, True, horizon, tuple(actual), None, message
+
+
+def report_tuple(report):
+    return (
+        report.ok,
+        report.conclusive,
+        report.horizon,
+        report.actual,
+        report.first_failure,
+        report.message,
+    )
 
 
 def power_sum(k, n):
@@ -246,6 +299,18 @@ class TestDegreeSlices:
             got = ideal_degree_slice(gs, d)
             want = all_multiples_slice(gs, d)
             assert got.dimension == want.dimension, (name, d)
+            # the one-pass back-substitution gives the pairwise scan's rows:
+            # same entries in the same order, signs included, and it
+            # modifies no row in place
+            original = dict(got.echelon.pivot_rows)
+            copies = {p: dict(row) for p, row in original.items()}
+            scanned = reduced_by_pairwise_scan(original)
+            assert not got.echelon._reduced
+            got.echelon.ensure_reduced()
+            assert {p: list(r.items()) for p, r in got.echelon.pivot_rows.items()} == {
+                p: list(r.items()) for p, r in scanned.items()
+            }, (name, d)
+            assert original == copies, (name, d)
             assert reduced_rows(got) == reduced_rows(want), (name, d)
 
     @settings(max_examples=120, deadline=None)
@@ -257,17 +322,18 @@ class TestDegreeSlices:
         n, gens = spec
         gs = GeneratorSet(tuple(gens), n)
         got = is_regular_sequence(gs)
-        with mock.patch.object(oracle, "ideal_degree_slice", all_multiples_slice):
-            want = is_regular_sequence(GeneratorSet(tuple(gens), n))
-        assert (got.ok, got.conclusive, got.horizon) == (want.ok, want.conclusive, want.horizon)
-        assert (got.actual, got.first_failure, got.message) == (
-            want.actual,
-            want.first_failure,
-            want.message,
-        )
+        assert report_tuple(got) == reference_report(gs)
+        ranks = []
         for d in range(got.horizon + 1):
-            want_rows = reduced_rows(all_multiples_slice(gs, d))
-            assert reduced_rows(ideal_degree_slice(gs, d)) == want_rows, d
+            want = all_multiples_slice(gs, d)
+            ranks.append(want.dimension)
+            assert reduced_rows(ideal_degree_slice(gs, d)) == reduced_rows(want), d
+        # past the completion degree the leading monomials of G alone give
+        # the quotient dimensions
+        if gs._complete is not None:
+            lead = oracle._lead_ideal_dims(gs, got.horizon)
+            for d in range(gs._complete, got.horizon + 1):
+                assert lead[d] == comb(n + d - 1, d) - ranks[d], d
 
     def test_basis_is_reduced(self):
         gs = worked_generators("ex4")
@@ -319,6 +385,18 @@ class TestQuotientCharacters:
                 reference = quotient_trace(gs, d, representative_permutation(mu))
                 for perm in perms:
                     assert quotient_trace(gs, d, perm) == reference, (d, mu)
+
+    @pytest.mark.parametrize(
+        "perm", [(0, 1, 2, 3, 4), (True, 0, 2, 3), (0, 0, 1, 2), (0, 1, 2), (1, 2, 3, 4), (0, 1, 2, 3.0)]
+    )
+    def test_perm_must_be_a_permutation(self, perm):
+        gs = worked_generators("ex4")
+        with pytest.raises(ValueError, match="^perm must be a permutation of 0..3"):
+            quotient_trace(gs, 2, perm)
+
+    def test_perm_may_be_any_sequence(self):
+        gs = worked_generators("ex4")
+        assert quotient_trace(gs, 2, [1, 0, 2, 3]) == quotient_trace(gs, 2, (1, 0, 2, 3))
 
     def test_bound_must_be_an_integer(self):
         gs = worked_generators("ex4")
@@ -426,11 +504,15 @@ class TestRegularSequences:
         assert report.horizon == 3
         assert "degree 3" in report.message
 
-    @pytest.mark.parametrize("name", ["coinv6", "psum5", "e5sq5"])
+    @pytest.mark.parametrize(
+        "name", ["coinv6", "psum5", "e5sq5", "coinv7", "coinv8", "psum6", "e6sq6"]
+    )
     def test_conclusive_past_n5(self, name):
-        if name == "e5sq5":
-            e = [elementary_symmetric(k, 5) for k in range(1, 6)]
-            gs = GeneratorSet(tuple(e[:4]) + (e[4] ** 2,))
+        if name.startswith("e"):
+            # e5sq5: e1, ..., e4, e5^2
+            n = int(name[-1])
+            e = [elementary_symmetric(k, n) for k in range(1, n + 1)]
+            gs = GeneratorSet(tuple(e[:-1]) + (e[-1] ** 2,))
         else:
             gs = named_ideal(name)
         report = is_regular_sequence(gs)
@@ -438,6 +520,15 @@ class TestRegularSequences:
         dims = product_formula_dims(gs.degrees, gs.n)
         assert list(report.actual) == (dims + [0])[: report.horizon + 1]
         assert sum(report.actual) == prod(gs.degrees)
+
+    @pytest.mark.parametrize(
+        "n, gens", [(2, ["x1^2", "x1*x2"]), (3, ["x1*x2", "x2*x3", "x1*x3"])]
+    )
+    def test_non_regular_matches_reference(self, n, gens):
+        gs = GeneratorSet(tuple(parse_poly(g, n) for g in gens))
+        report = is_regular_sequence(gs)
+        assert report_tuple(report) == reference_report(gs)
+        assert not report.ok and report.first_failure == 3
 
     def test_bound_must_be_an_integer(self):
         gs = GeneratorSet((elementary_symmetric(1, 3), elementary_symmetric(2, 3)))
@@ -452,6 +543,31 @@ class TestRegularSequences:
         gens = tuple(elementary_symmetric(k, 2) for k in (1, 2)) + (x(1, 2) * x(1, 2),)
         with pytest.raises(ValueError):
             is_regular_sequence(GeneratorSet(gens))
+
+
+class TestLeadIdealSeries:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=7
+            )
+        )
+    )
+    @example([(2, 0), (1, 1)])
+    @example([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    def test_numerator_counts_standard_monomials(self, gens):
+        n = len(gens[0])
+        counts = [
+            sum(not any(all(a <= b for a, b in zip(g, m)) for g in gens) for m in monomials(n, d))
+            for d in range(11)
+        ]
+        for spanning in (gens, oracle._minimal_monomials(gens)):
+            assert oracle._series_dims(oracle._monomial_numerator(spanning), n, 10) == counts
+
+    def test_minimal_generators(self):
+        gens = [(2, 1), (1, 1), (1, 1), (0, 3), (1, 2)]
+        assert oracle._minimal_monomials(gens) == [(1, 1), (0, 3)]
 
 
 class TestParser:
