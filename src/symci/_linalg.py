@@ -126,7 +126,7 @@ class Echelon:
         return not self.reduce(row)
 
 
-def echelon(rows, reduced: bool = False) -> Echelon:
+def echelon(rows) -> Echelon:
     """Echelonize sparse rows, picking pivots left to right in column order."""
     buckets: dict[int, list[dict[int, int]]] = {}
     heap: list[int] = []
@@ -156,8 +156,5 @@ def echelon(rows, reduced: bool = False) -> Echelon:
             nr = _combine(r, piv, col)
             if nr:
                 push(nr)
-    ech = Echelon(pivot_rows, reduced=False)
-    if reduced:
-        ech.ensure_reduced()
-    return ech
+    return Echelon(pivot_rows, reduced=False)
 

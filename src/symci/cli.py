@@ -46,6 +46,11 @@ MAX_BOUND = 100_000
 # `tables` holds p(n)^2 character values; its time and memory grow about
 # 2.5x for every +2 in n (3.9 s and 309 MB at n = 20).
 MAX_TABLES_N = 20
+# `character` and `verify` work on all p(n) cycle types, and text output
+# decomposes each coefficient over the p(n)^2 character table:
+# `character --n 24 --case I --c 1` takes 0.04 s as JSON but 15 s and
+# 630 MB as text (2-vCPU guest, Python 3.11); p(100) is about 1.9e8.
+MAX_N = 24
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,8 +137,11 @@ def _parse_against(text: str) -> RepresentationType:
 
 
 def _check_size(rt: RepresentationType, n: int, bound: int) -> None:
-    """Refuse, before any series work, a --bound or a numerator degree
-    above MAX_BOUND: the series is as long as the larger of the two."""
+    """Refuse, before any series work, an --n above MAX_N, or a --bound or
+    a numerator degree above MAX_BOUND: the series is as long as the
+    larger of the two."""
+    if n > MAX_N:
+        raise ValueError(f"--n must be at most {MAX_N}, got {n}")
     if bound > MAX_BOUND:
         raise ValueError(f"--bound must be at most {MAX_BOUND}, got {bound}")
     d = rt.special_degree

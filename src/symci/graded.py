@@ -7,6 +7,7 @@ generating types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from ._tpoly import divmod_poly, product_one_minus, series_quotient, times_one_minus
 from .characters import (
@@ -34,13 +35,16 @@ __all__ = [
 class GradedCharacter:
     """Truncated series sum of chi_d * t^d with ClassFunction coefficients.
 
-    `bound` is the inclusive truncation degree.  With exact=True the
-    series is a polynomial entirely inside the bound, so degrees past the
-    bound read as zero; otherwise reading past the bound raises, so
-    silent precision loss cannot happen.
+    Stored as one integer polynomial per cycle type mu, the series of
+    class-mu values, without trailing zeros; `coefficient` and `coeffs`
+    read the per-degree class functions off these.  `bound` is the
+    inclusive truncation degree.  With exact=True the series is a
+    polynomial entirely inside the bound, so degrees past the bound read
+    as zero; otherwise reading past the bound raises, so silent precision
+    loss cannot happen.
     """
 
-    __slots__ = ("n", "coeffs", "exact")
+    __slots__ = ("n", "_polys", "bound", "exact")
 
     def __init__(self, n: int, coeffs, exact: bool = False):
         coeffs = tuple(coeffs)
@@ -49,60 +53,52 @@ class GradedCharacter:
         for c in coeffs:
             if not isinstance(c, ClassFunction) or c.n != n:
                 raise ValueError("coefficients must be class functions on the same group")
-        self.n = n
-        self.coeffs = coeffs
-        self.exact = exact
+        if not isinstance(exact, bool):
+            raise ValueError(f"exact must be a bool, got {exact!r}")
+        polys = {mu: [c.values.get(mu, 0) for c in coeffs] for mu in partitions_of(n)}
+        self._store(n, polys, len(coeffs) - 1, exact)
 
-    @property
-    def bound(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _zero(self) -> ClassFunction:
-        return ClassFunction(self.n, {})
+    def _store(self, n: int, polys: dict, bound: int, exact: bool) -> "GradedCharacter":
+        """Keep polys[mu] (every cycle type of n a key) through bound."""
+        self.n, self.bound, self.exact = n, bound, exact
+        self._polys = {mu: _trim(p[: bound + 1]) for mu, p in polys.items()}
+        return self
 
     def coefficient(self, d: int) -> ClassFunction:
-        if d < 0:
-            return self._zero()
-        if d <= self.bound:
-            return self.coeffs[d]
-        if self.exact:
-            return self._zero()
-        raise ValueError(f"degree {d} is beyond the truncation bound {self.bound}")
+        if require_int(d, "degree") > self.bound and not self.exact:
+            raise ValueError(f"degree {d} is beyond the truncation bound {self.bound}")
+        return ClassFunction._from_clean(
+            self.n, {mu: p[d] for mu, p in self._polys.items() if 0 <= d < len(p) and p[d]}
+        )
+
+    @property
+    def coeffs(self) -> tuple[ClassFunction, ...]:
+        """The coefficients of degrees 0 through the bound."""
+        return tuple(self.coefficient(d) for d in range(self.bound + 1))
 
     def top_degree(self) -> int | None:
         """Largest degree with a nonzero coefficient; None for the zero series."""
         if not self.exact:
             raise ValueError("top degree is only known for exact series")
-        for d in range(self.bound, -1, -1):
-            if not self.coeffs[d].is_zero():
-                return d
-        return None
+        top = max(len(p) for p in self._polys.values()) - 1
+        return None if top < 0 else top
 
     def truncate(self, bound: int) -> "GradedCharacter":
-        if bound < 0:
+        if require_int(bound, "bound") < 0:
             raise ValueError("bound must be nonnegative")
-        if bound <= self.bound:
-            exact = self.exact and all(c.is_zero() for c in self.coeffs[bound + 1 :])
-            return GradedCharacter(self.n, self.coeffs[: bound + 1], exact)
-        if not self.exact:
+        if bound > self.bound and not self.exact:
             raise ValueError(f"cannot extend a truncated series past {self.bound}")
-        pad = (bound - self.bound) * (self._zero(),)
-        return GradedCharacter(self.n, self.coeffs + pad, True)
-
-    def _trimmed(self) -> tuple[ClassFunction, ...]:
-        coeffs = list(self.coeffs)
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
-        return tuple(coeffs)
+        exact = self.exact and all(len(p) <= bound + 1 for p in self._polys.values())
+        return _graded(self.n, self._polys, bound, exact)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedCharacter) or self.n != other.n:
-            return False
-        if self.exact != other.exact:
-            return False
-        if self.exact:
-            return self._trimmed() == other._trimmed()
-        return self.coeffs == other.coeffs
+        return (
+            isinstance(other, GradedCharacter)
+            and self.n == other.n
+            and self.exact == other.exact
+            and (self.exact or self.bound == other.bound)
+            and self._polys == other._polys
+        )
 
     def __add__(self, other: "GradedCharacter") -> "GradedCharacter":
         return self._combine(other, 1)
@@ -110,59 +106,52 @@ class GradedCharacter:
     def __sub__(self, other: "GradedCharacter") -> "GradedCharacter":
         return self._combine(other, -1)
 
-    def _combine(self, other: "GradedCharacter", sign: int) -> "GradedCharacter":
+    def _joint_bound(self, other: "GradedCharacter") -> tuple[int, bool]:
+        """Bound and exactness of a sum or product: the least bound of the
+        truncated operands, or the larger bound when both are exact."""
         if self.n != other.n:
             raise ValueError("mismatched symmetric groups")
-        if self.exact and other.exact:
-            bound, exact = max(self.bound, other.bound), True
-        elif self.exact:
-            bound, exact = other.bound, False
-        elif other.exact:
-            bound, exact = self.bound, False
-        else:
-            bound, exact = min(self.bound, other.bound), False
-        coeffs = [
-            self.coefficient(d) + sign * other.coefficient(d) for d in range(bound + 1)
-        ]
-        return GradedCharacter(self.n, coeffs, exact)
+        cuts = [g.bound for g in (self, other) if not g.exact]
+        return (min(cuts), False) if cuts else (max(self.bound, other.bound), True)
+
+    def _combine(self, other: "GradedCharacter", sign: int) -> "GradedCharacter":
+        bound, exact = self._joint_bound(other)
+        polys = {
+            mu: [x + sign * y for x, y in zip_longest(p, other._polys[mu], fillvalue=0)]
+            for mu, p in self._polys.items()
+        }
+        return _graded(self.n, polys, bound, exact)
 
     def scale(self, factor) -> "GradedCharacter":
         """Multiply every coefficient by an integer or a class function."""
-        return GradedCharacter(
-            self.n, [c * factor for c in self.coeffs], self.exact
-        )
+        if isinstance(factor, ClassFunction):
+            if factor.n != self.n:
+                raise ValueError("mismatched symmetric groups")
+            at = factor.values
+        else:
+            at = dict.fromkeys(self._polys, factor)
+        polys = {mu: [v * at.get(mu, 0) for v in p] for mu, p in self._polys.items()}
+        return _graded(self.n, polys, self.bound, self.exact)
 
     def __mul__(self, other):
         if isinstance(other, (int, ClassFunction)):
             return self.scale(other)
         if not isinstance(other, GradedCharacter):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError("mismatched symmetric groups")
-        if self.exact and other.exact:
+        bound, exact = self._joint_bound(other)
+        if exact:
             ta, tb = self.top_degree(), other.top_degree()
-            if ta is None or tb is None:
-                return GradedCharacter(self.n, (self._zero(),), True)
-            bound, exact = ta + tb, True
-        elif self.exact:
-            bound, exact = other.bound, False
-        elif other.exact:
-            bound, exact = self.bound, False
-        else:
-            bound, exact = min(self.bound, other.bound), False
-        coeffs = []
-        for d in range(bound + 1):
-            acc = self._zero()
-            for i in range(d + 1):
-                a = self.coefficient(i)
-                if a.is_zero():
-                    continue
-                b = other.coefficient(d - i)
-                if b.is_zero():
-                    continue
-                acc = acc + a * b
-            coeffs.append(acc)
-        return GradedCharacter(self.n, coeffs, exact)
+            bound = 0 if ta is None or tb is None else ta + tb
+        polys = {}
+        for mu, a in self._polys.items():
+            b = other._polys[mu]
+            out = [0] * (bound + 1)
+            for i, x in enumerate(a[: bound + 1]):
+                if x:
+                    for j, y in enumerate(b[: bound + 1 - i], i):
+                        out[j] += x * y
+            polys[mu] = out
+        return _graded(self.n, polys, bound, exact)
 
     __rmul__ = __mul__
 
@@ -202,6 +191,20 @@ class GradedCharacter:
         return f"GradedCharacter(n={self.n}, bound={self.bound}, {flavor})"
 
 
+def _trim(p: list[int]) -> list[int]:
+    """p without its trailing zeros."""
+    end = len(p)
+    while end and not p[end - 1]:
+        end -= 1
+    return p[:end]
+
+
+def _graded(n: int, polys: dict[Partition, list[int]], bound: int, exact: bool) -> GradedCharacter:
+    """The graded character whose class-mu values are polys[mu] through
+    bound (a missing degree reads as zero)."""
+    return GradedCharacter.__new__(GradedCharacter)._store(n, polys, bound, exact)
+
+
 def _chi_str(lam: Partition) -> str:
     return "χ[" + ",".join(str(p) for p in lam) + "]"
 
@@ -220,20 +223,6 @@ def _sum_str(n: int, mults: dict[Partition, int]) -> str:
     return "".join(parts) or "0"
 
 
-def _assemble(
-    n: int, polys: dict[Partition, list[int]], length: int, exact: bool
-) -> GradedCharacter:
-    """The graded character whose class-mu values are polys[mu], through
-    degree length - 1 (a missing degree reads as zero)."""
-    coeffs = [
-        ClassFunction._from_clean(
-            n, {mu: p[d] for mu, p in polys.items() if d < len(p) and p[d]}
-        )
-        for d in range(length)
-    ]
-    return GradedCharacter(n, coeffs, exact)
-
-
 def _molien(n: int, numerator, bound: int) -> GradedCharacter:
     """Molien's formula, one conjugacy class at a time.
 
@@ -249,9 +238,9 @@ def _molien(n: int, numerator, bound: int) -> GradedCharacter:
         quot, rem = divmod_poly(num, den)
         if any(rem):
             series = {mu: series_quotient(num, den, bound + 1) for mu, num, den in fractions}
-            return _assemble(n, series, bound + 1, False)
+            return _graded(n, series, bound, False)
         polys[mu] = quot
-    return _assemble(n, polys, max(len(p) for p in polys.values()), True)
+    return _graded(n, polys, max(len(p) for p in polys.values()) - 1, True)
 
 
 def coinvariant_character(n: int, bound: int | None = None) -> GradedCharacter:
@@ -279,47 +268,35 @@ def polynomial_ring_character(n: int, bound: int) -> GradedCharacter:
 
 def scale_by_cyclotomic(g: GradedCharacter, c: int) -> GradedCharacter:
     """Multiply by (1 - t^c), preserving the truncation bound."""
-    if c < 1:
+    if require_int(c, "c") < 1:
         raise ValueError("need c >= 1")
-    zero = ClassFunction(g.n, {})
-    coeffs = [
-        g.coeffs[d] - (g.coeffs[d - c] if d >= c else zero) for d in range(g.bound + 1)
-    ]
-    exact = False
-    if g.exact:
-        top = g.top_degree()
-        exact = top is None or top + c <= g.bound
-    return GradedCharacter(g.n, coeffs, exact)
+    top = g.top_degree() if g.exact else None
+    exact = g.exact and (top is None or top + c <= g.bound)
+    polys = {mu: times_one_minus(p, c) for mu, p in g._polys.items()}
+    return _graded(g.n, polys, g.bound, exact)
 
 
-def _case_factor(rt: RepresentationType, n: int) -> tuple[ClassFunction, ...]:
-    """Coefficients of det(1 - t^d sigma | W) for the non-trivial summand W,
-    the alternating sum of its exterior powers; just 1 in case I."""
-    if rt.case_tag == "I":
-        return (trivial_character(n),)
+def _case_numerator(rt: RepresentationType, mu: Partition) -> list[int]:
+    """det(1 - t^d sigma | W) at cycle type mu, for the non-trivial summand
+    W of degree d; just 1 in case I."""
     d = rt.special_degree
-    zero = ClassFunction(n, {})
+    sign = (-1) ** (mu.n - len(mu))
+    if rt.case_tag == "I":
+        return [1]
     if rt.case_tag == "II":
-        coeffs = [zero] * (d + 1)
-        coeffs[0] = trivial_character(n)
-        coeffs[d] = -sign_character(n)
-    elif rt.case_tag == "III":
-        coeffs = [zero] * ((n - 1) * d + 1)
-        for u in range(n):
-            lam = Partition([n - u] + [1] * u)
-            coeffs[u * d] = (-1) ** u * irreducible_character(lam)
-    else:
-        coeffs = [zero] * (2 * d + 1)
-        coeffs[0] = trivial_character(n)
-        coeffs[d] = -irreducible_character(Partition([2, 2]))
-        coeffs[2 * d] = sign_character(n)
-    return tuple(coeffs)
+        return [1] + [0] * (d - 1) + [-sign]
+    if rt.case_tag == "III":
+        # W is the permutation representation, det prod_j (1 - t^(d mu_j)),
+        # minus the trivial one, det 1 - t^d
+        return divmod_poly(product_one_minus(d * m for m in mu), product_one_minus([d]))[0]
+    chi = irreducible_character(Partition([2, 2])).value(mu)
+    return [1] + [0] * (d - 1) + [-chi] + [0] * (d - 1) + [sign]
 
 
 def quotient_character(rt: RepresentationType, n: int, bound: int = 10) -> GradedCharacter:
     """Graded character of the quotient by an ideal of the given type.
 
-    At cycle type mu the value series is the case factor at mu times
+    At cycle type mu the value series is the case numerator at mu times
     prod_i (1 - t^c_i), over Molien's prod_j (1 - t^mu_j).  The result is
     exact (a polynomial with known top degree) precisely when every one
     of these divisions is exact over Z; otherwise it is truncated at
@@ -329,10 +306,9 @@ def quotient_character(rt: RepresentationType, n: int, bound: int = 10) -> Grade
     validate_representation_type(rt, n)
     if require_int(bound, "bound") < 0:
         raise ValueError("bound must be nonnegative")
-    factor = _case_factor(rt, n)
 
     def numerator(mu: Partition) -> list[int]:
-        num = [cf.values.get(mu, 0) for cf in factor]
+        num = _case_numerator(rt, mu)
         for c in rt.trivial_degrees:
             num = times_one_minus(num, c)
         return num
@@ -346,11 +322,10 @@ def hilbert_series(g: GradedCharacter) -> list[int]:
     Exact series are trimmed at their top degree; truncated series report
     every degree through the bound.
     """
-    dims = [c.dimension() for c in g.coeffs]
+    dims = g._polys[(1,) * g.n]
     if g.exact:
-        while len(dims) > 1 and dims[-1] == 0:
-            dims.pop()
-    return dims
+        return list(dims) or [0]
+    return dims + [0] * (g.bound + 1 - len(dims))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ to check.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -73,7 +74,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, i: int, n: int) -> "MultiPoly":
-        if not 1 <= i <= n:
+        if not 1 <= require_int(i, "i") <= require_int(n, "n"):
             raise ValueError(f"variable index {i} outside 1..{n}")
         exps = [0] * n
         exps[i - 1] = 1
@@ -199,7 +200,7 @@ def _monomial_index(n: int, d: int) -> dict[tuple[int, ...], int]:
 
 def elementary_symmetric(k: int, n: int) -> MultiPoly:
     """The k-th elementary symmetric polynomial in n variables."""
-    if not 1 <= k <= n:
+    if not 1 <= require_int(k, "k") <= require_int(n, "n"):
         raise ValueError(f"need 1 <= k <= n, got k = {k}, n = {n}")
     terms = {}
     for subset in combinations(range(n), k):
@@ -302,13 +303,19 @@ class GeneratorSet:
             self._stable = self._check_stability()
         return self._stable
 
-    def _check_stability(self) -> bool:
+    def _span_echelons(self) -> Iterator[tuple[int, list[MultiPoly], Echelon]]:
+        """(d, the degree-d generators, the echelon of their span) for each
+        generator degree d, in increasing order."""
         by_degree: dict[int, list[MultiPoly]] = {}
         for g in self.gens:
             by_degree.setdefault(g.degree(), []).append(g)
-        for d, gens in by_degree.items():
+        for d, gens in sorted(by_degree.items()):
             index = _monomial_index(self.n, d)
-            ech = echelon([_poly_row(g, index) for g in gens])
+            yield d, gens, echelon([_poly_row(g, index) for g in gens])
+
+    def _check_stability(self) -> bool:
+        for d, gens, ech in self._span_echelons():
+            index = _monomial_index(self.n, d)
             for k in range(self.n - 1):
                 perm = list(range(self.n))
                 perm[k], perm[k + 1] = perm[k + 1], perm[k]
@@ -506,14 +513,7 @@ def span_character(gs: GeneratorSet) -> ClassFunction:
     if not gs.is_stable():
         raise ValueError("generator span is not stable under the variable permutations")
     n = gs.n
-    by_degree: dict[int, list[MultiPoly]] = {}
-    for g in gs.gens:
-        by_degree.setdefault(g.degree(), []).append(g)
-    echelons = []
-    for d, gens in sorted(by_degree.items()):
-        index = _monomial_index(n, d)
-        ech = echelon([_poly_row(g, index) for g in gens], reduced=True)
-        echelons.append((d, ech))
+    echelons = [(d, ech.ensure_reduced()) for d, _, ech in gs._span_echelons()]
     values = {}
     for mu in partitions_of(n):
         perm = representative_permutation(mu)
@@ -550,7 +550,7 @@ def standard_rep_lift(d: int, n: int) -> tuple[GeneratorSet, GeneratorSet]:
     The full span carries the permutation action (trivial plus standard
     summands); the consecutive differences span just the standard summand.
     """
-    if d < 1 or n < 2:
+    if require_int(d, "d") < 1 or require_int(n, "n") < 2:
         raise ValueError("need d >= 1 and n >= 2")
     powers = []
     for i in range(1, n + 1):

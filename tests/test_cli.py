@@ -84,6 +84,17 @@ class TestCharacterCommand:
         assert code == 2 and not out
         assert "numerator degree must be at most 100000, got 100001" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_n_above_ceiling_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, ["character", "--n", "25", "--case", "I", "--c", "1"] + flags)
+        assert code == 2 and not out
+        assert err.strip() == "error: --n must be at most 24, got 25"
+
+    def test_n_at_ceiling_runs(self, capsys):
+        code, out, _ = run(capsys, ["character", "--n", "24", "--case", "I", "--c", "1", "--json"])
+        assert code == 0
+        assert json.loads(out)["hilbert_series"][:3] == [1, 23, 276]
+
 
 class TestClassifyCommand:
     def test_accepted(self, tmp_path, capsys):
@@ -230,6 +241,14 @@ class TestVerifyCommand:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out
         assert "numerator degree must be at most 100000, got 100001" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_n_above_ceiling_exits_2(self, capsys, flags):
+        gens = os.path.join(GENS_DIR, "ex2.gens")
+        argv = ["verify", "--gens", gens, "--n", "25", "--against", "case I c=1"] + flags
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err.strip() == "error: --n must be at most 24, got 25"
 
     @pytest.mark.parametrize("against", ["case III d=5 d=2 c=2", "case III d=2 c=2 c=3"])
     def test_repeated_against_key_exits_2(self, capsys, against):

@@ -14,6 +14,7 @@ from symci.characters import (
 from symci.classify import RepresentationType
 from symci.graded import (
     GradedCharacter,
+    _case_numerator,
     coinvariant_character,
     hilbert_series,
     polynomial_ring_character,
@@ -474,3 +475,251 @@ class TestHilbertSeries:
     def test_exact_series_trimmed_to_top(self):
         g = quotient_character(rep_type("ex4"), 4, bound=12)
         assert hilbert_series(g) == [1, 4, 6, 4, 1]
+
+
+class RefSeries:
+    """The per-degree layout the class polynomials replaced: a tuple of
+    ClassFunction coefficients, with the same bound and exactness rules,
+    kept as the reference for the class-wise arithmetic."""
+
+    def __init__(self, n, coeffs, exact):
+        self.n, self.coeffs, self.exact = n, tuple(coeffs), exact
+
+    @property
+    def bound(self):
+        return len(self.coeffs) - 1
+
+    def read(self, d):
+        if d < 0 or (d > self.bound and self.exact):
+            return ClassFunction(self.n, {})
+        return self.coeffs[d]  # IndexError past the bound of a truncated series
+
+    def top_degree(self):
+        return max((d for d, c in enumerate(self.coeffs) if not c.is_zero()), default=None)
+
+    def joint_bound(self, other):
+        if self.exact and other.exact:
+            return max(self.bound, other.bound), True
+        if self.exact:
+            return other.bound, False
+        if other.exact:
+            return self.bound, False
+        return min(self.bound, other.bound), False
+
+    def combine(self, other, sign):
+        bound, exact = self.joint_bound(other)
+        return RefSeries(
+            self.n, [self.read(d) + sign * other.read(d) for d in range(bound + 1)], exact
+        )
+
+    def mul(self, other):
+        bound, exact = self.joint_bound(other)
+        if exact:
+            ta, tb = self.top_degree(), other.top_degree()
+            if ta is None or tb is None:
+                return RefSeries(self.n, [ClassFunction(self.n, {})], True)
+            bound = ta + tb
+        coeffs = []
+        for d in range(bound + 1):
+            acc = ClassFunction(self.n, {})
+            for i in range(d + 1):
+                acc = acc + self.read(i) * other.read(d - i)
+            coeffs.append(acc)
+        return RefSeries(self.n, coeffs, exact)
+
+    def truncate(self, bound):
+        if bound <= self.bound:
+            exact = self.exact and all(c.is_zero() for c in self.coeffs[bound + 1 :])
+            return RefSeries(self.n, self.coeffs[: bound + 1], exact)
+        zero = ClassFunction(self.n, {})
+        return RefSeries(self.n, self.coeffs + (bound - self.bound) * (zero,), True)
+
+    def cyclotomic(self, c):
+        coeffs = [self.read(d) - self.read(d - c) for d in range(self.bound + 1)]
+        top = self.top_degree()
+        return RefSeries(self.n, coeffs, self.exact and (top is None or top + c <= self.bound))
+
+    def trimmed(self):
+        coeffs = list(self.coeffs)
+        while len(coeffs) > 1 and coeffs[-1].is_zero():
+            coeffs.pop()
+        return coeffs
+
+    def equals(self, other):
+        if self.n != other.n or self.exact != other.exact:
+            return False
+        return self.trimmed() == other.trimmed() if self.exact else self.coeffs == other.coeffs
+
+    def hilbert(self):
+        dims = [c.dimension() for c in self.coeffs]
+        while self.exact and len(dims) > 1 and dims[-1] == 0:
+            dims.pop()
+        return dims
+
+
+def class_functions(n):
+    classes = partitions_of(n)
+    value = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    values = st.lists(value, min_size=len(classes), max_size=len(classes))
+    return values.map(lambda vs: ClassFunction(n, dict(zip(classes, vs))))
+
+
+def series_of(n):
+    """(GradedCharacter, RefSeries) with the same coefficients; exact series
+    may carry zero coefficients past their top degree."""
+
+    @st.composite
+    def build(draw):
+        coeffs = draw(st.lists(class_functions(n), min_size=1, max_size=6))
+        exact = draw(st.booleans())
+        if exact and draw(st.booleans()):
+            coeffs += [ClassFunction(n, {})] * draw(st.integers(1, 3))
+        return GradedCharacter(n, coeffs, exact), RefSeries(n, coeffs, exact)
+
+    return build()
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(series_of(n)), draw(series_of(n))
+
+
+def assert_same(g, ref):
+    assert (g.bound, g.exact) == (ref.bound, ref.exact)
+    assert g.coeffs == ref.coeffs
+    for d in range(-1, ref.bound + 3):
+        if ref.exact or d <= ref.bound:
+            assert g.coefficient(d) == ref.read(d)
+        else:
+            with pytest.raises(ValueError, match="beyond the truncation bound"):
+                g.coefficient(d)
+
+
+class TestClassPolynomialArithmetic:
+    """Each operation on the class polynomials against the per-degree
+    reference definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs())
+    def test_construction_and_reads(self, spec):
+        _, (a, ra), _ = spec
+        assert_same(a, ra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs())
+    def test_sum_and_difference(self, spec):
+        _, (a, ra), (b, rb) = spec
+        assert_same(a + b, ra.combine(rb, 1))
+        assert_same(a - b, ra.combine(rb, -1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs())
+    def test_product_of_series(self, spec):
+        _, (a, ra), (b, rb) = spec
+        assert_same(a * b, ra.mul(rb))
+
+    @settings(max_examples=100, deadline=None)
+    @given(series_pairs(), st.data())
+    def test_product_by_class_function_and_int(self, spec, data):
+        n, (a, ra), _ = spec
+        cf = data.draw(class_functions(n))
+        k = data.draw(st.integers(-3, 3))
+        by_cf = RefSeries(n, [c * cf for c in ra.coeffs], ra.exact)
+        assert_same(a * cf, by_cf)
+        assert_same(a * k, RefSeries(n, [c * k for c in ra.coeffs], ra.exact))
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs(), st.integers(0, 10))
+    def test_truncate(self, spec, bound):
+        _, (a, ra), _ = spec
+        if bound > ra.bound and not ra.exact:
+            with pytest.raises(ValueError, match="cannot extend"):
+                a.truncate(bound)
+        else:
+            assert_same(a.truncate(bound), ra.truncate(bound))
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs(), st.integers(1, 7))
+    def test_scale_by_cyclotomic(self, spec, c):
+        _, (a, ra), _ = spec
+        assert_same(scale_by_cyclotomic(a, c), ra.cyclotomic(c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs())
+    def test_equality(self, spec):
+        _, (a, ra), (b, rb) = spec
+        assert (a == b) == ra.equals(rb)
+        assert a == a.truncate(a.bound)
+        longer = ra.coeffs + (ClassFunction(ra.n, {}),)
+        assert (a == GradedCharacter(ra.n, longer, ra.exact)) == ra.exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs())
+    def test_hilbert_series_and_top_degree(self, spec):
+        _, (a, ra), _ = spec
+        assert hilbert_series(a) == ra.hilbert()
+        if ra.exact:
+            assert a.top_degree() == ra.top_degree()
+
+
+def _reference_case_factor(rt, n):
+    """det(1 - t^d sigma | W) per degree as class functions, built from the
+    irreducible characters: the exterior powers of the standard
+    representation are the hooks (n-u, 1^u)."""
+    d = rt.special_degree
+    zero = ClassFunction(n, {})
+    if rt.case_tag == "II":
+        coeffs = [zero] * (d + 1)
+        coeffs[0] = trivial_character(n)
+        coeffs[d] = -sign_character(n)
+    elif rt.case_tag == "III":
+        coeffs = [zero] * ((n - 1) * d + 1)
+        for u in range(n):
+            coeffs[u * d] = (-1) ** u * irreducible_character(Partition([n - u] + [1] * u))
+    else:
+        coeffs = [zero] * (2 * d + 1)
+        coeffs[0] = trivial_character(n)
+        coeffs[d] = -irreducible_character(Partition([2, 2]))
+        coeffs[2 * d] = sign_character(n)
+    return coeffs
+
+
+class TestCaseNumerators:
+    @pytest.mark.parametrize("case", ["II", "III", "IV"])
+    def test_closed_forms_match_character_construction(self, case):
+        for n in [4] if case == "IV" else range(2, 8):
+            for d in range(1, 5):
+                rt = RepresentationType(case, d, ())
+                factor = _reference_case_factor(rt, n)
+                for mu in partitions_of(n):
+                    expected = [cf.value(mu) for cf in factor]
+                    assert _case_numerator(rt, mu) == expected, (case, n, d, mu)
+
+    def test_cases_one_to_three_use_no_irreducible_characters(self, monkeypatch):
+        def refuse(lam):
+            raise AssertionError(f"irreducible_character({lam}) on the formula path")
+
+        monkeypatch.setattr("symci.graded.irreducible_character", refuse)
+        quotient_character(rep_type("ex2"), 4)
+        quotient_character(rep_type("ex3"), 4)
+        g = quotient_character(rep_type("ex4"), 4)
+        assert hilbert_series(g) == [1, 4, 6, 4, 1]
+        quotient_character(RepresentationType("III", 2, (3,)), 6, 12)
+
+
+class TestStrictArguments:
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2"])
+    def test_coefficient_truncate_and_cyclotomic_refuse_non_integers(self, bad):
+        g = coinvariant_character(3)
+        with pytest.raises(ValueError, match="^degree must be an integer"):
+            g.coefficient(bad)
+        with pytest.raises(ValueError, match="^bound must be an integer"):
+            g.truncate(bad)
+        with pytest.raises(ValueError, match="^c must be an integer"):
+            scale_by_cyclotomic(g, bad)
+
+    @pytest.mark.parametrize("bad", ["yes", 1, 0, None])
+    def test_exact_must_be_a_bool(self, bad):
+        with pytest.raises(ValueError, match="^exact must be a bool"):
+            GradedCharacter(3, [trivial_character(3)], exact=bad)

@@ -212,6 +212,22 @@ class TestNamedPolynomials:
         assert elementary_symmetric(4, 4) == x(1) * x(2) * x(3) * x(4)
         assert len(elementary_symmetric(2, 4).terms) == 6
 
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda bad: elementary_symmetric(bad, 4), "k"),
+            (lambda bad: elementary_symmetric(1, bad), "n"),
+            (lambda bad: MultiPoly.variable(bad, 4), "i"),
+            (lambda bad: MultiPoly.variable(1, bad), "n"),
+            (lambda bad: standard_rep_lift(bad, 4), "d"),
+            (lambda bad: standard_rep_lift(2, bad), "n"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+    def test_builders_refuse_bools_and_floats(self, call, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            call(bad)
+
     def test_vandermonde_two_variables(self):
         assert vandermonde(2) == MultiPoly.variable(1, 2) - MultiPoly.variable(2, 2)
 
@@ -254,6 +270,11 @@ class TestSpans:
     def test_difference_span_transposition_trace(self):
         _, diff = standard_rep_lift(3, 4)
         assert span_character(diff).value((2, 1, 1)) == 1
+
+    def test_mixed_degree_span(self):
+        gs = GeneratorSet((elementary_symmetric(2, 3), elementary_symmetric(1, 3), vandermonde(3)))
+        cf = span_character(gs)
+        assert decompose(cf) == {Partition([3]): 2, Partition([1, 1, 1]): 1}
 
     def test_stability_detection(self):
         stable = GeneratorSet((elementary_symmetric(2, 3),))
