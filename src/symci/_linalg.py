@@ -50,7 +50,7 @@ def _combine(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, in
     b = row[col]
     if a < 0:
         a, b = -a, -b
-    new = {c: a * v for c, v in row.items()}
+    new = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
     for c, v in piv.items():
         w = new.get(c, 0) - b * v
         if w:
@@ -59,9 +59,7 @@ def _combine(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, in
             del new[c]
     if not new:
         return new
-    g = 0
-    for v in new.values():
-        g = gcd(g, v)
+    g = gcd(*new.values())
     if g > 1:
         new = {c: v // g for c, v in new.items()}
     return new
@@ -74,7 +72,8 @@ class Echelon:
 
     def __init__(self, pivot_rows: dict[int, dict[int, int]], reduced: bool):
         self.pivot_rows = pivot_rows
-        self._reduced = reduced
+        # the pivots whose rows are back-eliminated
+        self._reduced: set[int] = set(pivot_rows) if reduced else set()
 
     @property
     def pivots(self) -> list[int]:
@@ -84,26 +83,41 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def ensure_reduced(self) -> "Echelon":
-        """Back-eliminate so every pivot column appears in exactly one row.
+    def ensure_reduced(self, pivots=None) -> "Echelon":
+        """Back-eliminate so that no row holds another row's pivot column:
+        every row, or only the rows at `pivots` and the rows they read.
 
         Rows are finished in decreasing pivot order, so every pivot row a
         row meets is already reduced: eliminating one of its pivot columns
         brings in no other, and the pivot columns of the row's own
-        support, largest first, are all the eliminations it needs.  The
-        work is proportional to the entries, not to rank squared.  Rows
-        are replaced, never modified in place, and `_combine` scales each
-        by a positive factor, so every lead keeps its sign.
+        support, largest first, are all the eliminations it needs.  So a
+        row reads exactly the rows at the pivot columns of its support,
+        and reducing only those, transitively, gives each of them the
+        same entries as reducing every row.  The work is proportional to
+        the entries, not to rank squared.  Rows are replaced, never
+        modified in place, and `_combine` scales each by a positive
+        factor, so every lead keeps its sign.
         """
-        if self._reduced:
-            return self
         rows = self.pivot_rows
-        for p in sorted(rows, reverse=True):
+        done = self._reduced
+        if len(done) == len(rows):
+            return self
+        if pivots is None:
+            todo = set(rows) - done
+        else:
+            todo = set()
+            stack = [p for p in pivots if p in rows and p not in done]
+            while stack:
+                p = stack.pop()
+                if p not in todo:
+                    todo.add(p)
+                    stack.extend(c for c in rows[p] if c in rows and c not in done)
+        for p in sorted(todo, reverse=True):
             row = rows[p]
             for c in sorted((c for c in row if c != p and c in rows), reverse=True):
                 row = _combine(row, rows[c], c)
             rows[p] = row
-        self._reduced = True
+        done |= todo
         return self
 
     def reduce(self, row: dict) -> dict[int, Fraction]:

@@ -79,8 +79,10 @@ class ClassFunction:
         return ClassFunction(self.n, {mu: -v for mu, v in self.values.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return ClassFunction(self.n, {mu: v * other for mu, v in self.values.items()})
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
         self._check_same_group(other)
         return ClassFunction(
             self.n,

@@ -15,7 +15,10 @@ the one the from-scratch construction from all monomial multiples of
 all generators gives, with far fewer rows.  Once every generator is in
 and no critical pair waits, G is a full Groebner basis, and the
 regular-sequence test reads the remaining quotient dimensions off the
-Hilbert series of <LM(G)> instead of building more slices.
+Hilbert series of <LM(G)> instead of building more slices.  Traces past
+that degree build no slice either: they read normal forms off
+multiplication tables on the standard monomials, as in FGLM (Faugere,
+Gianni, Lazard and Mora 1993).
 
 The module shares no code with the closed character formulas it is used
 to check.
@@ -263,7 +266,9 @@ class GeneratorSet:
     for, together with the state that builds the next one: the truncated
     Groebner basis through that degree, the critical pairs waiting for
     their lcm degree, and a reducer row for each leading monomial of the
-    top slice.
+    top slice.  Traces keep the standard monomials of each degree and the
+    normal forms they have read; past the completion degree these are
+    all they keep, with no slice.
     """
 
     def __init__(self, gens, n: int | None = None):
@@ -291,6 +296,11 @@ class GeneratorSet:
         # The first degree d with every generator of degree <= d and no
         # pair waiting past d: from there on G is a full Groebner basis.
         self._complete: int | None = None
+        # The standard monomials of each degree from 0 up, and the memoized
+        # normal forms {standard monomial: coefficient} of the monomials a
+        # trace has read, including the border past the completion degree.
+        self._standard: list[frozenset[tuple[int, ...]]] = []
+        self._forms: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
         self._stable: bool | None = None
 
     def __repr__(self) -> str:
@@ -440,37 +450,146 @@ def _variable_shifts(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _standard_monomials(gs: GeneratorSet, d: int) -> frozenset[tuple[int, ...]]:
+    """The degree-d monomials outside the leading ideal of I.
+
+    Through the completion degree D they are the non-pivot columns of the
+    slice.  Past D they grow from degree d - 1 (`_grow_standard`), with no
+    slice.  Once a degree has none, no higher degree has any.
+    """
+    std = gs._standard
+    while len(std) <= d:
+        e = len(std)
+        if e and not std[-1]:
+            std.append(frozenset())
+        elif gs._complete is None or e <= gs._complete:
+            std.append(frozenset(ideal_degree_slice(gs, e).standard_monomials()))
+        else:
+            std.append(_grow_standard(gs, std[-1]))
+    return std[d]
+
+
+def _shift(m: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
+    """The exponent vector of x_k^by * m (0-based k, by may be -1)."""
+    return m[:k] + (m[k] + by,) + m[k + 1:]
+
+
+def _grow_standard(gs: GeneratorSet, prev: frozenset) -> frozenset:
+    """Standard monomials of a degree d > D, from those of degree d - 1,
+    and the normal forms of the border: the other products x_k * s with s
+    standard of degree d - 1.
+
+    Every minimal lead of G has degree <= D < d, so a degree-d monomial is
+    standard exactly when no minimal lead divides it, that is, when all
+    its degree d - 1 divisors are standard.  A border monomial b has a
+    divisor b / x_k outside the standard monomials, so
+    NF(b) = NF(x_k * NF(b / x_k)): a sum of normal forms of products x_k * r
+    with r < b / x_k standard, each below b.  The border is therefore
+    filled in increasing order, and every entry it reads is ready: these
+    are the multiplication tables by each variable on the standard
+    monomials, keyed by the product.
+    """
+    n = gs.n
+    std: set[tuple[int, ...]] = set()
+    border: set[tuple[int, ...]] = set()
+    for s in prev:
+        for i in range(n):
+            m = _shift(s, i, 1)
+            if m in std or m in border:
+                continue
+            if all(not m[k] or _shift(m, k, -1) in prev for k in range(n)):
+                std.add(m)
+            else:
+                border.add(m)
+    # increasing grevlex order: decreasing reversed exponent vectors
+    for b in sorted(border, key=lambda m: m[::-1], reverse=True):
+        k = next(k for k in range(n) if b[k] and _shift(b, k, -1) not in prev)
+        gs._forms[b] = _times_variable(gs._forms, _normal_form(gs, _shift(b, k, -1)), k, std)
+    return frozenset(std)
+
+
+def _times_variable(forms: dict, form: dict, k: int, std) -> dict:
+    """NF(x_k * f) for f in normal form, from the degree's border forms."""
+    out: dict[tuple[int, ...], object] = {}
+    for r, c in form.items():
+        m = _shift(r, k, 1)
+        if m in std:
+            out[m] = out.get(m, 0) + c
+        else:
+            for t, v in forms[m].items():
+                out[t] = out.get(t, 0) + c * v
+    return {t: _ratio(v) for t, v in out.items() if v}
+
+
+def _slice_form(gs: GeneratorSet, m: tuple[int, ...]) -> dict:
+    """NF(m) for a pivot monomial m of a slice: minus the reduced row at m
+    over its lead, which back-reduces only that row and the rows it reads."""
+    d = sum(m)
+    p = _monomial_index(gs.n, d)[m]
+    row = gs._slices[d].echelon.ensure_reduced((p,)).pivot_rows[p]
+    lead = row[p]
+    mons = monomials(gs.n, d)
+    return {
+        mons[c]: -v // lead if v % lead == 0 else Fraction(-v, lead)
+        for c, v in row.items()
+        if c != p
+    }
+
+
+def _normal_form(gs: GeneratorSet, m: tuple[int, ...]) -> dict:
+    """NF(m) modulo I as {standard monomial: coefficient}, memoized.
+
+    Through the completion degree D it is read off the slice.  Past D a
+    monomial off the border has no standard divisor of degree d - 1, and
+    NF(m) = NF(x_k * NF(m / x_k)) for any x_k dividing m; the divisor
+    already known, if any, is taken.
+    """
+    forms = gs._forms
+    chain: list[tuple[tuple[int, ...], int, frozenset]] = []
+    while True:
+        d = sum(m)
+        std = _standard_monomials(gs, d)
+        if m in forms:
+            form = forms[m]
+            break
+        if m in std:
+            form = {m: 1}
+            break
+        if gs._complete is None or d <= gs._complete:
+            form = forms[m] = _slice_form(gs, m)
+            break
+        ks = [k for k in range(gs.n) if m[k]]
+        k = next((k for k in ks if _shift(m, k, -1) in forms), ks[0])
+        chain.append((m, k, std))
+        m = _shift(m, k, -1)
+    for m, k, std in reversed(chain):
+        form = forms[m] = _times_variable(forms, form, k, std)
+    return form
+
+
 def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
     """Trace of a variable permutation on the degree-d quotient slice.
 
-    The quotient is identified with the span of the standard monomials;
-    the permuted monomial is projected back along the ideal slice, which
-    takes a single reduced-echelon row lookup.  `perm` must be a
-    permutation of range(n), as a sequence of ints.
+    The quotient is identified with the span of the standard monomials,
+    so the trace is the sum over standard s of the coefficient of s in
+    NF(sigma . s).  Through the completion degree D of the Groebner
+    basis each NF is one reduced row of the slice, and only the rows at
+    the images sigma . s are back-reduced, with the rows they read.  Past
+    D no slice is built: the normal forms come from the multiplication
+    tables (`_normal_form`).  `perm` must be a permutation of range(n),
+    as a sequence of ints.
     """
     ints = all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
     if not ints or sorted(perm) != list(range(gs.n)):
         raise ValueError(f"perm must be a permutation of 0..{gs.n - 1}, got {perm!r}")
-    sl = ideal_degree_slice(gs, d)
-    mons = monomials(gs.n, d)
-    index = _monomial_index(gs.n, d)
-    ech = sl.echelon.ensure_reduced()
-    pivots = ech.pivot_rows
+    if require_int(d, "d") < 0:
+        raise ValueError("degree must be nonnegative")
     total = Fraction(0)
-    for col, exps in enumerate(mons):
-        if col in pivots:
-            continue
+    for s in _standard_monomials(gs, d):
         image = [0] * gs.n
-        for k, e in enumerate(exps):
+        for k, e in enumerate(s):
             image[perm[k]] = e
-        icol = index[tuple(image)]
-        if icol == col:
-            total += 1
-        elif icol in pivots:
-            row = pivots[icol]
-            v = row.get(col)
-            if v:
-                total -= Fraction(v, row[icol])
+        total += _normal_form(gs, tuple(image)).get(s, 0)
     if total.denominator != 1:
         raise ArithmeticError(f"non-integral trace {total} at degree {d}")
     return int(total)
@@ -480,8 +599,9 @@ def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
     """Exact graded character of the quotient by the generated ideal.
 
     Each coefficient is assembled from one representative permutation per
-    cycle type.  Once some degree slice fills the whole space the quotient
-    is zero from there on, so the series is flagged exact.
+    cycle type (`quotient_trace`).  The first degree with no standard
+    monomial makes the quotient zero from there on, so the series is
+    flagged exact.
     """
     require_int(bound, "bound")
     if bound < 0:
@@ -490,14 +610,10 @@ def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
         raise ValueError("generator span is not stable under the variable permutations")
     n = gs.n
     coeffs: list[ClassFunction] = []
-    zero_from: int | None = None
+    exact = False
     for d in range(bound + 1):
-        if zero_from is not None:
-            coeffs.append(ClassFunction(n, {}))
-            continue
-        sl = ideal_degree_slice(gs, d)
-        if sl.dimension == len(monomials(n, d)):
-            zero_from = d
+        if exact or not _standard_monomials(gs, d):
+            exact = True
             coeffs.append(ClassFunction(n, {}))
             continue
         values = {
@@ -505,7 +621,7 @@ def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
             for mu in partitions_of(n)
         }
         coeffs.append(ClassFunction(n, values))
-    return GradedCharacter(n, coeffs, exact=zero_from is not None)
+    return GradedCharacter(n, coeffs, exact=exact)
 
 
 def span_character(gs: GeneratorSet) -> ClassFunction:
@@ -727,6 +843,12 @@ def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSe
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z]+\d*)|([-+*^()]))")
+# A generator of degree d puts the degree-d slice, of C(n + d - 1, d)
+# columns, on every oracle path, and `^` multiplies one factor at a time,
+# so the parser refuses any degree above this before computing it.
+MAX_GENERATOR_DEGREE = 100
+# Each level of parentheses costs the recursive descent four stack frames.
+MAX_NESTING = 50
 
 
 class _PolyParser:
@@ -734,6 +856,7 @@ class _PolyParser:
 
     def __init__(self, text: str, n: int):
         self.n = n
+        self.depth = 0
         self.tokens: list[str] = []
         pos = 0
         while pos < len(text):
@@ -777,7 +900,9 @@ class _PolyParser:
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = out * self.factor()
+            right = self.factor()
+            _check_degree((out.degree() or 0) + (right.degree() or 0))
+            out = out * right
         return out
 
     def factor(self) -> MultiPoly:
@@ -787,15 +912,22 @@ class _PolyParser:
             tok = self.take()
             if not tok.isdigit():
                 raise ValueError(f"exponent must be a nonnegative integer, got {tok!r}")
+            if not base.degree():
+                raise ValueError("the base of a power must have positive degree")
+            _check_degree(base.degree() * int(tok))
             return base ** int(tok)
         return base
 
     def atom(self) -> MultiPoly:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
             out = self.expr()
             if self.take() != ")":
                 raise ValueError("missing closing parenthesis")
+            self.depth -= 1
             return out
         if tok.isdigit():
             return MultiPoly.constant(int(tok), self.n)
@@ -804,6 +936,7 @@ class _PolyParser:
             raise ValueError(f"unexpected token {tok!r}")
         name, idx = m.group(1), m.group(2)
         if name == "vdm" and not idx:
+            _check_degree(self.n * (self.n - 1) // 2)
             return vandermonde(self.n)
         if name in {"x", "e"} and idx:
             k = int(idx)
@@ -817,11 +950,19 @@ class _PolyParser:
         raise ValueError(f"unknown name {tok!r} (expected x<k>, e<k> or vdm)")
 
 
+def _check_degree(d: int) -> None:
+    if d > MAX_GENERATOR_DEGREE:
+        raise ValueError(f"degree {d} is above the ceiling {MAX_GENERATOR_DEGREE}")
+
+
 def parse_poly(text: str, n: int) -> MultiPoly:
     """Parse one polynomial expression in variables x1..xn.
 
     Grammar: integers, x<k>, e<k> (elementary symmetric), vdm (the
     alternating product of all differences), with + - * ^ and parentheses.
+    The base of a power must have positive degree.  A degree above
+    MAX_GENERATOR_DEGREE, or parentheses nested deeper than MAX_NESTING,
+    raise ValueError before any of that arithmetic is done.
     """
     return _PolyParser(text, n).parse()
 

@@ -107,6 +107,18 @@ class TestProducts:
         with pytest.raises(ValueError):
             trivial_character(3) * trivial_character(4)
 
+    @pytest.mark.parametrize("other", [True, 2.0, "2", None])
+    def test_unknown_operands_refused(self, other):
+        chi = irreducible_character((2, 1))
+        with pytest.raises(TypeError):
+            chi * other
+        with pytest.raises(TypeError):
+            other * chi
+
+    def test_int_product_both_sides(self):
+        chi = irreducible_character((2, 1))
+        assert 3 * chi == chi * 3 == chi + chi + chi
+
 
 class TestInnerProduct:
     def test_orthonormality(self):

@@ -250,6 +250,33 @@ class TestVerifyCommand:
         assert code == 2 and not out
         assert err.strip() == "error: --n must be at most 24, got 25"
 
+    @pytest.mark.parametrize(
+        "name, c", [("coinv6", "1,2,3,4,5,6"), ("psum6", "1,2,3,4,5,6"), ("e6sq6", "1,2,3,4,5,12")]
+    )
+    def test_six_variable_families_match(self, capsys, name, c):
+        gens = os.path.join(GENS_DIR, f"{name}.gens")
+        argv = ["verify", "--gens", gens, "--n", "6", "--against", f"case I c={c}", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["match"] is True
+        assert len(payload["degrees"]) == sum(map(int, c.split(","))) - 6 + 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(" * 2000 + "x1" + ")" * 2000, "parentheses nested deeper than 50"),
+            ("x1^99999999", "degree 99999999 is above the ceiling 100"),
+        ],
+        ids=["deep-nesting", "huge-power"],
+    )
+    def test_generator_file_refusals_exit_2(self, capsys, tmp_path, text, message):
+        gens = tmp_path / "bad.gens"
+        gens.write_text(text + "\n")
+        code, out, err = run(capsys, ["verify", "--gens", str(gens), "--against", "case I c=1"])
+        assert code == 2 and not out
+        assert err.strip() == f"error: line 1: {message}"
+
     @pytest.mark.parametrize("against", ["case III d=5 d=2 c=2", "case III d=2 c=2 c=3"])
     def test_repeated_against_key_exits_2(self, capsys, against):
         gens = os.path.join(GENS_DIR, "ex4.gens")

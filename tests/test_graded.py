@@ -627,6 +627,7 @@ class TestClassPolynomialArithmetic:
         k = data.draw(st.integers(-3, 3))
         by_cf = RefSeries(n, [c * cf for c in ra.coeffs], ra.exact)
         assert_same(a * cf, by_cf)
+        assert_same(cf * a, by_cf)
         assert_same(a * k, RefSeries(n, [c * k for c in ra.coeffs], ra.exact))
 
     @settings(max_examples=150, deadline=None)

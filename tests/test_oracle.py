@@ -1,3 +1,7 @@
+import random
+import re
+from fractions import Fraction
+from itertools import permutations
 from math import comb, prod
 
 import pytest
@@ -5,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symci import oracle
-from symci._linalg import _combine, echelon
+from symci._linalg import Echelon, _combine, echelon
 from symci.characters import decompose
 from symci.classify import RepresentationType
 from symci.graded import quotient_character
@@ -19,6 +23,7 @@ from symci.oracle import (
     monomials,
     parse_generator_file,
     parse_poly,
+    partitions_of,
     quotient_graded_character,
     quotient_trace,
     representative_permutation,
@@ -133,23 +138,41 @@ def product_formula_dims(degrees, n):
 FAMILIES = {
     "coinv": lambda n: [elementary_symmetric(k, n) for k in range(1, n + 1)],
     "sq": lambda n: [x(i, n) * x(i, n) for i in range(1, n + 1)],
+    "cube": lambda n: [x(i, n) ** 3 for i in range(1, n + 1)],
     "psum": lambda n: [power_sum(k, n) for k in range(1, n + 1)],
 }
 
 
 def named_ideal(name):
-    """ex2..ex5, or a family of FAMILIES followed by n, e.g. "coinv5"."""
+    """ex2..ex5; a family of FAMILIES followed by n, e.g. "coinv5"; or
+    e<k>sq<n>, the elementary symmetric e1, ..., en with e_k squared."""
     if name.startswith("ex"):
         return worked_generators(name)
+    if m := re.fullmatch(r"e(\d)sq(\d)", name):
+        k, n = int(m[1]), int(m[2])
+        e = [elementary_symmetric(j, n) for j in range(1, n + 1)]
+        return GeneratorSet(tuple(e[:k - 1] + [e[k - 1] ** 2] + e[k:]))
     return GeneratorSet(tuple(FAMILIES[name[:-1]](int(name[-1]))))
 
 
+def orbit(g):
+    """The distinct images of g under all permutations of the variables:
+    generators of the smallest stable span that contains g."""
+    out = []
+    for perm in permutations(range(g.n)):
+        h = g.apply_permutation(perm)
+        if h not in out:
+            out.append(h)
+    return out
+
+
 @st.composite
-def generator_lists(draw):
+def generator_lists(draw, stable=False):
     """Up to n homogeneous generators of degree <= 3 in n <= 4 variables:
     random, symmetric, scalar multiples of an earlier generator
     (dependent) and multiples of an earlier generator by a variable
-    (a shared factor, so not regular)."""
+    (a shared factor, so not regular).  With `stable`, each generator is
+    replaced by its orbit, so the span is stable."""
     n = draw(st.integers(2, 4))
     gens = []
     for _ in range(draw(st.integers(1, n))):
@@ -168,7 +191,49 @@ def generator_lists(draw):
             support = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=5, unique=True))
             g = MultiPoly(n, {m: draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for m in support})
         gens.append(g)
+    if stable:
+        gens = [h for g in gens for h in orbit(g)]
     return n, gens
+
+
+def reference_trace(sl, perm):
+    """Trace of perm on the quotient slice, read off the fully reduced
+    echelon of a degree slice: the coefficient of each standard monomial
+    s in the normal form of perm . s.  This is the all-slices trace the
+    oracle used in every degree before it read normal forms past the
+    completion degree."""
+    mons = monomials(sl.n, sl.degree)
+    index = {m: i for i, m in enumerate(mons)}
+    pivots = sl.echelon.ensure_reduced().pivot_rows
+    total = Fraction(0)
+    for col, exps in enumerate(mons):
+        if col in pivots:
+            continue
+        image = [0] * sl.n
+        for k, e in enumerate(exps):
+            image[perm[k]] = e
+        icol = index[tuple(image)]
+        if icol == col:
+            total += 1
+        elif icol in pivots:
+            row = pivots[icol]
+            total -= Fraction(row.get(col, 0), row[icol])
+    return total
+
+
+def assert_reference_traces(gs, got, slice_of, bound):
+    """Each coefficient of `got` through the bound against the reference
+    traces on `slice_of(d)`; from the first slice that fills R_d on, the
+    coefficients are zero and `got` is exact."""
+    full = False
+    for d in range(bound + 1):
+        if not full:
+            sl = slice_of(d)
+            full = sl.dimension == comb(gs.n + d - 1, d)
+        for mu in partitions_of(gs.n):
+            want = 0 if full else reference_trace(sl, representative_permutation(mu))
+            assert got.coefficient(d).value(mu) == want, (d, mu)
+    assert got.exact == full
 
 
 class TestMultiPoly:
@@ -487,6 +552,99 @@ class TestQuotientCharacters:
         assert g.coefficient(5).is_zero() and g.coefficient(8).is_zero()
 
 
+class TestTracesPastCompletion:
+    """Traces read off the slices through the completion degree D and off
+    normal forms past it, against traces read off fully reduced slices in
+    every degree."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"ex{k}" for k in range(2, 6)]
+        + [f"{f}{n}" for f in FAMILIES for n in (4, 5)]
+        + [f"e{k}sq{n}" for n in (4, 5) for k in range(1, n + 1)],
+    )
+    def test_matches_all_slices_reference(self, name):
+        gs = named_ideal(name)
+        bound = sum(gs.degrees) - gs.n + 1
+        got = quotient_graded_character(gs, bound)
+        reference = named_ideal(name)
+        assert_reference_traces(reference, got, lambda d: ideal_degree_slice(reference, d), bound)
+        assert got.exact
+        # no slice past the completion degree
+        if gs._complete is not None:
+            assert sorted(gs._slices) == list(range(min(gs._complete, bound) + 1))
+
+    def test_families_complete_below_the_top(self):
+        # the normal-form path is the one these families exercise
+        for name in ["coinv5", "psum5", "cube5", "sq4", "e4sq4", "e5sq5"]:
+            gs = named_ideal(name)
+            quotient_graded_character(gs, sum(gs.degrees) - gs.n + 1)
+            assert gs._complete < sum(gs.degrees) - gs.n, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists(stable=True))
+    @example((3, [elementary_symmetric(k, 3) for k in (1, 2, 3)]))
+    @example((3, orbit(x(1, 3) * x(2, 3)) + [elementary_symmetric(1, 3) ** 3]))
+    @example((4, orbit(x(1) * x(1) - x(2) * x(3))))
+    def test_stable_sets_match_all_multiples_reference(self, spec):
+        n, gens = spec
+        gs = GeneratorSet(tuple(gens), n)
+        assert gs.is_stable()
+        # through top + 1 when the quotient is artinian by degree 7
+        bound = 7
+        got = quotient_graded_character(gs, bound)
+        assert_reference_traces(gs, got, lambda d: all_multiples_slice(gs, d), bound)
+        for mu in partitions_of(n):
+            perm = representative_permutation(mu)
+            for d in range(bound + 1):
+                assert quotient_trace(gs, d, perm) == got.coefficient(d).value(mu)
+
+    @pytest.mark.parametrize("name", ["ex2", "ex3", "ex5", "coinv5", "psum4", "e4sq4"])
+    def test_on_demand_rows_equal_full_reduction(self, name):
+        gs = named_ideal(name)
+        rng = random.Random(name)
+        for d in range(sum(gs.degrees) - gs.n + 2):
+            original = dict(ideal_degree_slice(gs, d).echelon.pivot_rows)
+            full = Echelon(dict(original), reduced=False).ensure_reduced().pivot_rows
+            pivots = sorted(original)
+            for ask in ([], pivots[:1], pivots[-1:], rng.sample(pivots, len(pivots) // 3)):
+                ech = Echelon(dict(original), reduced=False)
+                ech.ensure_reduced(ask)
+                done = ech._reduced
+                assert set(ask) <= done
+                for p, row in ech.pivot_rows.items():
+                    if p in done:
+                        assert list(row.items()) == list(full[p].items()), (d, p)
+                        # a row is reduced together with every row it reads
+                        assert all(c in done for c in original[p] if c in original)
+                    else:
+                        assert row is original[p]
+                ech.ensure_reduced()
+                assert {p: list(r.items()) for p, r in ech.pivot_rows.items()} == {
+                    p: list(r.items()) for p, r in full.items()
+                }, d
+
+    def test_trace_past_completion_builds_no_slice(self):
+        gs = named_ideal("coinv5")
+        ideal_degree_slice(gs, 5)
+        assert gs._complete == 5
+        # the identity counts the standard monomials
+        dims = product_formula_dims(gs.degrees, 5) + [0]
+        for d in range(6, 12):
+            assert quotient_trace(gs, d, tuple(range(5))) == dims[d]
+        assert quotient_trace(gs, 11, (1, 0, 2, 3, 4)) == 0
+        assert sorted(gs._slices) == list(range(6))
+
+    def test_no_slice_past_the_first_full_one(self):
+        # ex3 is never complete through its top degree 9; its degree-10
+        # slice fills R_10, so every later trace is zero without a slice
+        gs = worked_generators("ex3")
+        assert quotient_graded_character(gs, 12).exact
+        assert gs._complete is None
+        assert quotient_trace(gs, 14, (1, 0, 2, 3)) == 0
+        assert sorted(gs._slices) == list(range(11))
+
+
 class TestRegularSequences:
     def test_variable_squares(self):
         report = is_regular_sequence(worked_generators("ex4"))
@@ -529,13 +687,7 @@ class TestRegularSequences:
         "name", ["coinv6", "psum5", "e5sq5", "coinv7", "coinv8", "psum6", "e6sq6"]
     )
     def test_conclusive_past_n5(self, name):
-        if name.startswith("e"):
-            # e5sq5: e1, ..., e4, e5^2
-            n = int(name[-1])
-            e = [elementary_symmetric(k, n) for k in range(1, n + 1)]
-            gs = GeneratorSet(tuple(e[:-1]) + (e[-1] ** 2,))
-        else:
-            gs = named_ideal(name)
+        gs = named_ideal(name)
         report = is_regular_sequence(gs)
         assert report.ok and report.conclusive
         dims = product_formula_dims(gs.degrees, gs.n)
@@ -628,6 +780,43 @@ class TestParser:
             parse_generator_file("e1\nx9\n", 3)
         with pytest.raises(ValueError, match="no generators"):
             parse_generator_file("# nothing\n", 3)
+
+
+    def test_nesting_ceiling(self):
+        assert parse_poly("(" * 50 + "x1" + ")" * 50, 2) == x(1, 2)
+        for text in ["(" * 51 + "x1" + ")" * 51, "(" * 2000 + "x1" + ")" * 2000]:
+            with pytest.raises(ValueError, match="^parentheses nested deeper than 50$"):
+                parse_poly(text, 2)
+
+    def test_degree_ceiling(self):
+        assert parse_poly("x1^100", 2).degree() == 100
+        assert parse_poly("(x1^10)^10", 2).degree() == 100
+        for text, degree in [
+            ("x1^99999999", 99999999),
+            ("x1^101", 101),
+            ("x1^50 * x2^51", 101),
+            ("(x1^10)^11", 110),
+            ("vdm", 105),
+        ]:
+            with pytest.raises(ValueError, match=f"^degree {degree} is above the ceiling 100$"):
+                parse_poly(text, 15)
+
+    @pytest.mark.parametrize("text", ["2^3", "(x1 - x1 + 2)^2", "(x1 - x1)^2"])
+    def test_power_of_a_constant_refused(self, text):
+        with pytest.raises(ValueError, match="^the base of a power must have positive degree$"):
+            parse_poly(text, 2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="xevdm0123456789+-*^() #\n", max_size=40), st.integers(1, 3))
+    @example("(" * 2000 + "x1" + ")" * 2000, 2)
+    @example("x1^99999999", 2)
+    @example("((((2^99)^99)^99)^99)^99", 1)
+    def test_generator_file_raises_only_value_error(self, text, n):
+        try:
+            gs = parse_generator_file(text, n)
+        except ValueError:
+            return
+        assert all(0 < d <= oracle.MAX_GENERATOR_DEGREE for d in gs.degrees)
 
 
 class TestGeneratorSetValidation:
