@@ -184,10 +184,14 @@ def decompose(a: ClassFunction, require_nonnegative: bool = False) -> dict[Parti
         m, r = divmod(total, order)
         if r:
             raise ValueError(f"not a virtual character: <a, chi^{lam}> = {Fraction(total, order)}")
-        if require_nonnegative and m < 0:
-            raise ValueError(f"negative multiplicity {m} at {lam}")
         if m:
             out[lam] = m
+    # signs only once every inner product is known to be an integer, so an
+    # input that is not a virtual character is always reported as such
+    if require_nonnegative:
+        for lam, m in out.items():
+            if m < 0:
+                raise ValueError(f"negative multiplicity {m} at {lam}")
     return out
 
 

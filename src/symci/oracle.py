@@ -5,20 +5,17 @@ dictionaries, over the graded reverse lexicographic monomial basis:
 ideal degree slices, permutation traces on quotient slices, and the
 Hilbert-series regular sequence criterion.
 
-Degree slices are built in increasing degree next to a truncated
-Groebner basis G of the ideal.  Degree d is echelonized from one
-multiple of a basis element per monomial of <LM(G)>_d, the generators
-of degree d, and the S-polynomial rows of the critical pairs of degree
-d (see `_build_slice`); every new pivot lead joins G.  These rows span
-exactly the degree-d piece of the ideal, so the reduced echelon form is
-the one the from-scratch construction from all monomial multiples of
-all generators gives, with far fewer rows.  Once every generator is in
-and no critical pair waits, G is a full Groebner basis, and the
-regular-sequence test reads the remaining quotient dimensions off the
-Hilbert series of <LM(G)> instead of building more slices.  Traces past
-that degree build no slice either: they read normal forms off
+A truncated grevlex Groebner basis G of the ideal is built one degree
+at a time by Buchberger reduction on packed monomials
+(`_groebner.TruncatedBasis`).  Once every generator is in and no
+critical pair waits, G is a full Groebner basis.  The regular-sequence
+test builds no slice: it reads each quotient dimension off the Hilbert
+series of <LM(G)>.  A degree slice is a view of G (`_build_slice`): the
+previous slice's reducers times each variable, plus the elements of G of
+that degree, whose leads are all distinct.  Traces read reduced slice
+rows through the completion degree; past it they read normal forms off
 multiplication tables on the standard monomials, as in FGLM (Faugere,
-Gianni, Lazard and Mora 1993).
+Gianni, Lazard and Mora 1993), with no slice.
 
 The module shares no code with the closed character formulas it is used
 to check.
@@ -32,8 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, factorial, prod
 
+from ._groebner import (
+    TruncatedBasis,
+    check_packable,
+    series_dim,
+    series_dims,
+    times_one_minus_power,
+)
 from ._linalg import Echelon, echelon
 from .characters import ClassFunction
 from .graded import GradedCharacter
@@ -66,6 +70,20 @@ class MultiPoly:
             if c:
                 clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "MultiPoly":
+        """A polynomial from terms arithmetic has already checked: exponent
+        tuples of length n and exact coefficients.  Zero coefficients are
+        dropped and integral fractions become ints, as in `__init__`."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in terms.items()
+            if c
+        }
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "MultiPoly":
@@ -106,24 +124,24 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.n, out)
+        return MultiPoly._of(self.n, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.n, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly._of(self.n, {e: c * other for e, c in self.terms.items()})
         self._check_same_ring(other)
         out: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.n, out)
+        return MultiPoly._of(self.n, out)
 
     __rmul__ = __mul__
 
@@ -143,7 +161,7 @@ class MultiPoly:
             for k, e in enumerate(exps):
                 new[perm[k]] = e
             out[tuple(new)] = c
-        return MultiPoly(self.n, out)
+        return MultiPoly._of(self.n, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -211,7 +229,7 @@ def elementary_symmetric(k: int, n: int) -> MultiPoly:
         for i in subset:
             exps[i] = 1
         terms[tuple(exps)] = 1
-    return MultiPoly(n, terms)
+    return MultiPoly._of(n, terms)
 
 
 def vandermonde(n: int) -> MultiPoly:
@@ -260,15 +278,16 @@ def permutation_cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 class GeneratorSet:
-    """Homogeneous generators with cached degree slices of their ideal.
+    """Homogeneous generators with the truncated Groebner basis of their
+    ideal and cached degree slices.
 
-    Slices are kept for every degree from 0 up to the highest one asked
-    for, together with the state that builds the next one: the truncated
-    Groebner basis through that degree, the critical pairs waiting for
-    their lcm degree, and a reducer row for each leading monomial of the
-    top slice.  Traces keep the standard monomials of each degree and the
-    normal forms they have read; past the completion degree these are
-    all they keep, with no slice.
+    The basis is kept through the highest degree any query needed, with
+    the critical pairs waiting for their lcm degree (`TruncatedBasis`).
+    Slices, views of that basis, are kept for every degree from 0 up to
+    the highest one asked for, with a reducer row for each leading
+    monomial of the top slice.  Traces keep the standard monomials of each
+    degree and the normal forms they have read; past the completion degree
+    these are all they keep, with no slice.
     """
 
     def __init__(self, gens, n: int | None = None):
@@ -285,17 +304,11 @@ class GeneratorSet:
         self.n = n
         self.degrees = tuple(g.degree() for g in gens)
         self._slices: dict[int, DegreeSlice] = {}
-        # The truncated Groebner basis through the top slice degree: one
-        # (lead exponents, {exponents: integer coefficient}) per element.
-        self._basis: list[tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = []
-        # Critical pairs (i, j, lcm of the leads) waiting for their lcm degree.
-        self._pairs: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-        # Leading column of the top slice -> (the earliest basis element
-        # whose lead divides it, that element's multiple with this lead).
-        self._reducers: dict[int, tuple[int, dict[int, int]]] = {}
-        # The first degree d with every generator of degree <= d and no
-        # pair waiting past d: from there on G is a full Groebner basis.
-        self._complete: int | None = None
+        # The truncated Groebner basis, grown as far as any query needed.
+        self._basis = TruncatedBasis(n, zip(self.degrees, (g.terms for g in gens)))
+        # Leading column of the top slice -> the multiple of the earliest
+        # basis element whose lead divides it, in nondecreasing element order.
+        self._reducers: dict[int, dict[int, int]] = {}
         # The standard monomials of each degree from 0 up, and the memoized
         # normal forms {standard monomial: coefficient} of the monomials a
         # trace has read, including the border past the completion degree.
@@ -378,65 +391,40 @@ def ideal_degree_slice(gs: GeneratorSet, d: int) -> DegreeSlice:
     """
     if require_int(d, "d") < 0:
         raise ValueError("degree must be nonnegative")
+    check_packable(d)
     for e in range(len(gs._slices), d + 1):
         _build_slice(gs, e)
     return gs._slices[d]
 
 
 def _build_slice(gs: GeneratorSet, d: int) -> None:
-    """Echelonize I_d from the basis of degree < d and extend the basis.
+    """The degree-d slice as a view of the truncated basis G.
 
-    The rows span I_d:
-    - for each monomial T of <LM(G)>_d, the multiple of the earliest
-      basis element whose lead divides T (distinct leads; read off the
-      degree d - 1 multiples times each variable);
-    - the generators of degree d;
-    - for each critical pair (g_i, g_j), i < j, whose lcm T has degree d,
-      the multiple of g_j with lead T, which together with the row for T
-      spans their S-polynomial.  Pairs with coprime leads are dropped
-      (Buchberger's product criterion), and so are pairs where some
-      g_k, k < i, divides T: the pairs (g_k, g_i) and (g_k, g_j) have
-      lcms dividing T and are kept (the chain criterion).
-    Every pivot outside <LM(G)>_d joins the basis.
+    Its rows are the previous slice's reducers times each variable (for
+    each monomial T of <LM(G_<d)>_d, the multiple of the earliest element
+    whose lead divides T) and the degree-d elements of G.  Their leads are
+    distinct, and as G is a d-truncated Groebner basis there is one per
+    pivot of I_d, so the echelon eliminates nothing.
     """
+    gs._basis.grow(d)
     n = gs.n
-    basis = gs._basis
-    index = _monomial_index(n, d)
-    reducers: dict[int, tuple[int, dict[int, int]]] = {}
+    reducers: dict[int, dict[int, int]] = {}
     if gs._reducers:
         shifts = _variable_shifts(n, d - 1)
         # _reducers runs in nondecreasing element order, so the first
         # multiple to reach a column is that of the earliest element
         # dividing it, and this dict keeps the same order.
-        for p, (k, row) in gs._reducers.items():
+        for p, row in gs._reducers.items():
             for shift in shifts:
                 col = shift[p]
                 if col not in reducers:
-                    reducers[col] = (k, {shift[c]: v for c, v in row.items()})
-    rows = [row for _, row in reducers.values()]
-    rows += [_poly_row(g, index) for g in gs.gens if g.degree() == d]
-    for i, j, m in gs._pairs.pop(d, ()):
-        if reducers[index[m]][0] == i:
-            lead, terms = basis[j]
-            t = tuple(a - b for a, b in zip(m, lead))
-            rows.append({index[tuple(a + b for a, b in zip(t, e))]: v for e, v in terms.items()})
-    ech = echelon(rows)
-    mons = monomials(n, d)
-    for p, row in ech.pivot_rows.items():
-        if p in reducers:
-            continue
-        lead = mons[p]
-        k = len(basis)
-        for i, (other, _) in enumerate(basis):
-            if any(a and b for a, b in zip(lead, other)):
-                m = tuple(max(a, b) for a, b in zip(lead, other))
-                gs._pairs.setdefault(sum(m), []).append((i, k, m))
-        basis.append((lead, {mons[c]: v for c, v in row.items()}))
-        reducers[p] = (k, row)
+                    reducers[col] = {shift[c]: v for c, v in row.items()}
+    index = _monomial_index(n, d)
+    for lead, row in gs._basis.of_degree(d):
+        reducers[index[lead]] = {index[m]: v for m, v in row.items()}
+    ech = echelon(list(reducers.values()))
     gs._reducers = reducers
     gs._slices[d] = DegreeSlice(n, d, ech.rank, ech)
-    if gs._complete is None and d >= max(gs.degrees) and not gs._pairs:
-        gs._complete = d
 
 
 @cache
@@ -462,7 +450,7 @@ def _standard_monomials(gs: GeneratorSet, d: int) -> frozenset[tuple[int, ...]]:
         e = len(std)
         if e and not std[-1]:
             std.append(frozenset())
-        elif gs._complete is None or e <= gs._complete:
+        elif gs._basis.complete is None or e <= gs._basis.complete:
             std.append(frozenset(ideal_degree_slice(gs, e).standard_monomials()))
         else:
             std.append(_grow_standard(gs, std[-1]))
@@ -518,7 +506,11 @@ def _times_variable(forms: dict, form: dict, k: int, std) -> dict:
         else:
             for t, v in forms[m].items():
                 out[t] = out.get(t, 0) + c * v
-    return {t: _ratio(v) for t, v in out.items() if v}
+    return {
+        t: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        for t, v in out.items()
+        if v
+    }
 
 
 def _slice_form(gs: GeneratorSet, m: tuple[int, ...]) -> dict:
@@ -555,7 +547,7 @@ def _normal_form(gs: GeneratorSet, m: tuple[int, ...]) -> dict:
         if m in std:
             form = {m: 1}
             break
-        if gs._complete is None or d <= gs._complete:
+        if gs._basis.complete is None or d <= gs._basis.complete:
             form = forms[m] = _slice_form(gs, m)
             break
         ks = [k for k in range(gs.n) if m[k]]
@@ -584,15 +576,17 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
         raise ValueError(f"perm must be a permutation of 0..{gs.n - 1}, got {perm!r}")
     if require_int(d, "d") < 0:
         raise ValueError("degree must be nonnegative")
-    total = Fraction(0)
+    total = 0  # an int while every coefficient read is one
     for s in _standard_monomials(gs, d):
         image = [0] * gs.n
         for k, e in enumerate(s):
             image[perm[k]] = e
         total += _normal_form(gs, tuple(image)).get(s, 0)
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral trace {total} at degree {d}")
-    return int(total)
+    if type(total) is Fraction:
+        if total.denominator != 1:
+            raise ArithmeticError(f"non-integral trace {total} at degree {d}")
+        total = total.numerator
+    return total
 
 
 def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
@@ -693,79 +687,12 @@ class RegularSequenceReport:
         return self.ok
 
 
-def _series_dims(num: list[int], n: int, bound: int) -> list[int]:
-    """Coefficients of num(t) / (1 - t)^n through the bound."""
-    return [
-        sum(num[k] * comb(n - 1 + d - k, d - k) for k in range(min(d, len(num) - 1) + 1))
-        for d in range(bound + 1)
-    ]
-
-
-def _times_one_minus_power(num: list[int], c: int) -> list[int]:
-    """num(t) * (1 - t^c)."""
-    out = num + [0] * c
-    for k, v in enumerate(num):
-        out[k + c] -= v
-    return out
-
-
 def _expected_quotient_dims(degrees, n: int, bound: int) -> list[int]:
     """Coefficients of prod (1 - t^c_i) / (1 - t)^n through the bound."""
     num = [1]
     for c in degrees:
-        num = _times_one_minus_power(num, c)
-    return _series_dims(num, n, bound)
-
-
-def _minimal_monomials(mons) -> list[tuple[int, ...]]:
-    """The minimal generators of the monomial ideal the exponent vectors span."""
-    out: list[tuple[int, ...]] = []
-    for m in sorted(set(mons), key=sum):
-        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
-            out.append(m)
-    return out
-
-
-def _monomial_numerator(gens: list[tuple[int, ...]]) -> list[int]:
-    """Numerator N(t) of the Hilbert series N(t) / (1 - t)^n of R / J, for
-    the monomial ideal J these exponent vectors generate (Bayer and
-    Stillman 1992).
-
-    Pairwise coprime generators give prod (1 - t^deg).  Otherwise the
-    pivot p = x_i^e, with x_i the variable in most generators and e its
-    least positive exponent among them, splits the series along the exact
-    sequence 0 -> R/(J : p)(-e) -> R/J -> R/(J + p) -> 0:
-    N(J) = N(J + p) + t^e N(J : p).  J + p has fewer generators, J : p
-    lower degrees.
-    """
-    n = len(gens[0]) if gens else 0
-    uses = [sum(1 for g in gens if g[i]) for i in range(n)]
-    if all(u <= 1 for u in uses):
-        num = [1]
-        for g in gens:
-            num = _times_one_minus_power(num, sum(g))
-        return num
-    i = max(range(n), key=uses.__getitem__)
-    e = min(g[i] for g in gens if g[i])
-    pivot = tuple(e if k == i else 0 for k in range(n))
-    plus = _monomial_numerator([g for g in gens if not g[i]] + [pivot])
-    colon = _monomial_numerator(
-        _minimal_monomials(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
-    )
-    out = plus + [0] * max(0, len(colon) + e - len(plus))
-    for k, v in enumerate(colon):
-        out[k + e] += v
-    return out
-
-
-def _lead_ideal_dims(gs: GeneratorSet, bound: int) -> list[int]:
-    """dim (R / <LM(G)>)_d for d = 0..bound, for the basis G built so far.
-
-    Once G is a full Groebner basis these are the quotient dimensions of
-    the ideal itself in every degree (Macaulay's theorem).
-    """
-    leads = _minimal_monomials(lead for lead, _ in gs._basis)
-    return _series_dims(_monomial_numerator(leads), gs.n, bound)
+        num = times_one_minus_power(num, c)
+    return series_dims(num, n, bound)
 
 
 def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSequenceReport:
@@ -778,10 +705,12 @@ def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSe
     dimension count prod(degrees) is conclusive; with fewer generators the
     verdict only covers degrees up to the reported horizon.
 
-    Slices are built only up to the first degree where G is a full
-    Groebner basis (every generator in, no critical pair waiting), or
-    where the slice fills the whole degree; the later dimensions are read
-    off the leading monomials of G, or are zero.
+    No slice is built.  The basis G grows one degree at a time, and the
+    dimension in degree d is read off its leading monomials, which is
+    exact because G is then a d-truncated Groebner basis.  G stops at the
+    first degree where it is a full Groebner basis (every generator in, no
+    critical pair waiting), whose leads give every later dimension, or
+    where the quotient vanishes.
     """
     if bound is not None and require_int(bound, "bound") < 0:
         raise ValueError("bound must be nonnegative")
@@ -795,17 +724,22 @@ def is_regular_sequence(gs: GeneratorSet, bound: int | None = None) -> RegularSe
     else:
         horizon = bound if bound is not None else total_deg
         conclusive = False
+    check_packable(horizon)
     expected = _expected_quotient_dims(gs.degrees, n, horizon)
     actual: list[int] = []
     first_failure = None
     tail: list[int] | None = None
+    basis, size = gs._basis, -1
     for d in range(horizon + 1):
         if tail is None:
-            dim = comb(n + d - 1, d) - ideal_degree_slice(gs, d).dimension
+            basis.grow(d)
+            if len(basis.elements) != size:
+                size, num = len(basis.elements), basis.numerator()
+            dim = series_dim(num, n, d)
             if not dim:
                 tail = [0] * (horizon + 1)
-            elif gs._complete is not None and gs._complete <= d:
-                tail = _lead_ideal_dims(gs, horizon)
+            elif basis.complete is not None and basis.complete <= d:
+                tail = series_dims(num, n, horizon)
         else:
             dim = tail[d]
         actual.append(dim)
@@ -849,6 +783,12 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z]+\d*)|([-+*^()]))")
 MAX_GENERATOR_DEGREE = 100
 # Each level of parentheses costs the recursive descent four stack frames.
 MAX_NESTING = 50
+# The parser refuses a result that could have more terms than this before
+# computing it: C(n, k) for e_k, n! for vdm, and for * and ^ the product of
+# the factors' term counts, capped by the number of monomials of that
+# degree or less.  e8 in 16 variables has 12870 terms; vdm in 8 variables
+# has 40320 and is refused (it took 2.4 s and 61 MB to expand).
+MAX_TERMS = 20_000
 
 
 class _PolyParser:
@@ -901,7 +841,9 @@ class _PolyParser:
         while self.peek() == "*":
             self.take()
             right = self.factor()
-            _check_degree((out.degree() or 0) + (right.degree() or 0))
+            degree = (out.degree() or 0) + (right.degree() or 0)
+            _check_degree(degree)
+            _check_terms(min(len(out.terms) * len(right.terms), comb(self.n + degree, self.n)))
             out = out * right
         return out
 
@@ -914,8 +856,10 @@ class _PolyParser:
                 raise ValueError(f"exponent must be a nonnegative integer, got {tok!r}")
             if not base.degree():
                 raise ValueError("the base of a power must have positive degree")
-            _check_degree(base.degree() * int(tok))
-            return base ** int(tok)
+            k = int(tok)
+            _check_degree(base.degree() * k)
+            _check_terms(min(len(base.terms) ** k, comb(self.n + base.degree() * k, self.n)))
+            return base**k
         return base
 
     def atom(self) -> MultiPoly:
@@ -937,16 +881,16 @@ class _PolyParser:
         name, idx = m.group(1), m.group(2)
         if name == "vdm" and not idx:
             _check_degree(self.n * (self.n - 1) // 2)
+            _check_terms(factorial(self.n))
             return vandermonde(self.n)
         if name in {"x", "e"} and idx:
             k = int(idx)
             if not 1 <= k <= self.n:
                 raise ValueError(f"index {k} outside 1..{self.n} in {tok!r}")
-            return (
-                MultiPoly.variable(k, self.n)
-                if name == "x"
-                else elementary_symmetric(k, self.n)
-            )
+            if name == "x":
+                return MultiPoly.variable(k, self.n)
+            _check_terms(comb(self.n, k))
+            return elementary_symmetric(k, self.n)
         raise ValueError(f"unknown name {tok!r} (expected x<k>, e<k> or vdm)")
 
 
@@ -955,14 +899,20 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree {d} is above the ceiling {MAX_GENERATOR_DEGREE}")
 
 
+def _check_terms(count: int) -> None:
+    if count > MAX_TERMS:
+        raise ValueError(f"up to {count} terms is above the ceiling {MAX_TERMS}")
+
+
 def parse_poly(text: str, n: int) -> MultiPoly:
     """Parse one polynomial expression in variables x1..xn.
 
     Grammar: integers, x<k>, e<k> (elementary symmetric), vdm (the
     alternating product of all differences), with + - * ^ and parentheses.
     The base of a power must have positive degree.  A degree above
-    MAX_GENERATOR_DEGREE, or parentheses nested deeper than MAX_NESTING,
-    raise ValueError before any of that arithmetic is done.
+    MAX_GENERATOR_DEGREE, a result that could have more than MAX_TERMS
+    terms, or parentheses nested deeper than MAX_NESTING, raise ValueError
+    before any of that arithmetic is done.
     """
     return _PolyParser(text, n).parse()
 

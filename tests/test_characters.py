@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symci.characters import (
@@ -198,6 +198,9 @@ def class_functions(draw):
 class TestDecomposeTable:
     @settings(max_examples=150, deadline=None)
     @given(class_functions(), st.booleans())
+    # not a virtual character (<cf, chi^(3,1)> = -9/2), though the first
+    # inner product, at (4), is the integer -1
+    @example(ClassFunction(4, {(2, 2): 4, (2, 1, 1): -1, (1, 1, 1, 1): -30}), True)
     def test_matches_inner_product_definition(self, cf, nonnegative):
         products = {
             lam: inner_product(cf, irreducible_character(lam)) for lam in partitions_of(cf.n)

@@ -277,6 +277,15 @@ class TestVerifyCommand:
         assert code == 2 and not out
         assert err.strip() == f"error: line 1: {message}"
 
+    @pytest.mark.parametrize("n, text, count", [(8, "vdm", 40320), (17, "e8", 24310)])
+    def test_oversized_generator_exits_2(self, capsys, tmp_path, n, text, count):
+        gens = tmp_path / "big.gens"
+        gens.write_text(text + "\n")
+        argv = ["verify", "--gens", str(gens), "--n", str(n), "--against", "case I c=1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err.strip() == f"error: line 1: up to {count} terms is above the ceiling 20000"
+
     @pytest.mark.parametrize("against", ["case III d=5 d=2 c=2", "case III d=2 c=2 c=3"])
     def test_repeated_against_key_exits_2(self, capsys, against):
         gens = os.path.join(GENS_DIR, "ex4.gens")

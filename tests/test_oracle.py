@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symci import oracle
+from symci import _groebner, oracle
 from symci._linalg import Echelon, _combine, echelon
 from symci.characters import decompose
 from symci.classify import RepresentationType
@@ -35,6 +36,8 @@ from symci.oracle import (
 from symci.partitions import Partition
 
 from golden import WORKED
+
+GENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "gens")
 
 
 def x(i, n=4):
@@ -259,6 +262,39 @@ class TestMultiPoly:
         assert repr(x(1) - x(2)) == "x1 - x2"
         assert repr(MultiPoly.zero(2)) == "0"
 
+    def test_constructor_checks_its_input(self):
+        for bad in ({(1,): 1}, {(1, -1): 1}):
+            with pytest.raises(ValueError, match="bad exponent vector"):
+                MultiPoly(2, bad)
+        for bad in (1.5, True):
+            with pytest.raises(TypeError):
+                MultiPoly(2, {(1, 0): bad})
+        assert MultiPoly(2, {(1, 0): Fraction(4, 2), (0, 1): 0}).terms == {(1, 0): 2}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                st.integers(-3, 3) | st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                max_size=4,
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.integers(0, 3),
+        st.integers(-2, 2) | st.just(Fraction(3, 2)),
+    )
+    def test_arithmetic_results_pass_the_constructor_checks(self, terms, k, scalar):
+        # results built without re-validation equal what the checking
+        # constructor makes of the same terms: no zeros, integral fractions
+        # as ints
+        p, q = (MultiPoly(2, t) for t in terms)
+        for got in (p + q, p - q, -p, p * q, p * scalar, p**k, p.apply_permutation((1, 0))):
+            want = MultiPoly(2, got.terms)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
 
 class TestGrevlexOrder:
     def test_three_variable_degree_two(self):
@@ -416,9 +452,9 @@ class TestDegreeSlices:
             assert reduced_rows(ideal_degree_slice(gs, d)) == reduced_rows(want), d
         # past the completion degree the leading monomials of G alone give
         # the quotient dimensions
-        if gs._complete is not None:
-            lead = oracle._lead_ideal_dims(gs, got.horizon)
-            for d in range(gs._complete, got.horizon + 1):
+        if gs._basis.complete is not None:
+            lead = _groebner.series_dims(gs._basis.numerator(), n, got.horizon)
+            for d in range(gs._basis.complete, got.horizon + 1):
                 assert lead[d] == comb(n + d - 1, d) - ranks[d], d
 
     def test_basis_is_reduced(self):
@@ -571,15 +607,15 @@ class TestTracesPastCompletion:
         assert_reference_traces(reference, got, lambda d: ideal_degree_slice(reference, d), bound)
         assert got.exact
         # no slice past the completion degree
-        if gs._complete is not None:
-            assert sorted(gs._slices) == list(range(min(gs._complete, bound) + 1))
+        if gs._basis.complete is not None:
+            assert sorted(gs._slices) == list(range(min(gs._basis.complete, bound) + 1))
 
     def test_families_complete_below_the_top(self):
         # the normal-form path is the one these families exercise
         for name in ["coinv5", "psum5", "cube5", "sq4", "e4sq4", "e5sq5"]:
             gs = named_ideal(name)
             quotient_graded_character(gs, sum(gs.degrees) - gs.n + 1)
-            assert gs._complete < sum(gs.degrees) - gs.n, name
+            assert gs._basis.complete < sum(gs.degrees) - gs.n, name
 
     @settings(max_examples=150, deadline=None)
     @given(generator_lists(stable=True))
@@ -627,7 +663,7 @@ class TestTracesPastCompletion:
     def test_trace_past_completion_builds_no_slice(self):
         gs = named_ideal("coinv5")
         ideal_degree_slice(gs, 5)
-        assert gs._complete == 5
+        assert gs._basis.complete == 5
         # the identity counts the standard monomials
         dims = product_formula_dims(gs.degrees, 5) + [0]
         for d in range(6, 12):
@@ -640,7 +676,7 @@ class TestTracesPastCompletion:
         # slice fills R_10, so every later trace is zero without a slice
         gs = worked_generators("ex3")
         assert quotient_graded_character(gs, 12).exact
-        assert gs._complete is None
+        assert gs._basis.complete is None
         assert quotient_trace(gs, 14, (1, 0, 2, 3)) == 0
         assert sorted(gs._slices) == list(range(11))
 
@@ -718,6 +754,108 @@ class TestRegularSequences:
             is_regular_sequence(GeneratorSet(gens))
 
 
+class TestBasisEngine:
+    """The packed monomials and the Buchberger reduction behind the basis."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_packed_order_and_shifts_are_the_columns(self, n):
+        for d in range(7):
+            mons = monomials(n, d)
+            packed = [_groebner._pack(m) for m in mons]
+            assert packed == sorted(set(packed)), d
+            assert [_groebner._unpack(m, n) for m in packed] == list(mons)
+            if d < 6:
+                up = [_groebner._pack(m) for m in monomials(n, d + 1)]
+                for i, shift in enumerate(oracle._variable_shifts(n, d)):
+                    x_i = _groebner._pack(tuple(int(k == i) for k in range(n)))
+                    assert [up.index(m + x_i) for m in packed] == list(shift), (d, i)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(*[st.integers(0, _groebner.MAX_PACKED_DEGREE)] * n).flatmap(
+                lambda a: st.tuples(
+                    st.just(a),
+                    st.tuples(*[st.integers(0, _groebner.MAX_PACKED_DEGREE)] * len(a))
+                    | st.tuples(*[st.integers(0, e) for e in a]),
+                )
+            )
+        )
+    )
+    @example(((0, 0), (0, 0)))
+    @example(((_groebner.MAX_PACKED_DEGREE,) * 3, (_groebner.MAX_PACKED_DEGREE, 0, 1)))
+    @example(((0, 5), (1, 5)))
+    @example(((5, 0), (5, 1)))
+    def test_guard_bits_decide_divisibility(self, pair):
+        m, lead = pair
+        divides = all(a <= b for a, b in zip(lead, m))
+        diff = _groebner._pack(m) - _groebner._pack(lead)
+        assert (not diff & _groebner._guard(len(m))) == divides
+        if divides:
+            assert _groebner._unpack(diff, len(m)) == tuple(b - a for a, b in zip(lead, m))
+
+    @settings(max_examples=120, deadline=None)
+    @given(generator_lists())
+    @example((3, [elementary_symmetric(k, 3) for k in (1, 2, 3)]))
+    @example((3, [x(1, 3) * x(2, 3), x(2, 3) * x(3, 3) * x(1, 3)]))
+    def test_leads_are_the_minimal_pivots(self, spec):
+        n, gens = spec
+        gs = GeneratorSet(tuple(gens), n)
+        top = min(sum(gs.degrees), 8)
+        gs._basis.grow(top)
+        below: list[tuple[int, ...]] = []
+        for d in range(top + 1):
+            want = all_multiples_slice(gs, d)
+            mons = monomials(n, d)
+            pivots = [mons[p] for p in want.echelon.pivots]
+            minimal = [
+                m for m in pivots if not any(all(a <= b for a, b in zip(g, m)) for g in below)
+            ]
+            elements = gs._basis.elements[gs._basis.ends[d - 1] if d else 0 : gs._basis.ends[d]]
+            assert [_groebner._unpack(lead, n) for lead, _ in elements] == minimal, d
+            index = {_groebner._pack(m): i for i, m in enumerate(mons)}
+            for lead, row in elements:
+                # an element of the ideal, led by its lead
+                assert min(row) == lead
+                assert want.echelon.contains({index[m]: v for m, v in row.items()}), d
+            below += minimal
+        # so the leads of G are the minimal generators of <LM(G)>
+        leads = [_groebner._unpack(lead, n) for lead, _ in gs._basis.elements]
+        assert sorted(_groebner._minimal_monomials(leads)) == sorted(leads)
+
+    @pytest.mark.parametrize(
+        "name", [f"ex{k}" for k in range(2, 6)] + ["coinv5", "psum5", "e5sq5", "cube4"]
+    )
+    def test_regularity_builds_no_slice(self, name):
+        gs = named_ideal(name)
+        assert is_regular_sequence(gs).ok
+        assert gs._slices == {}
+        # the slices built afterwards are views of the same basis
+        assert reduced_rows(ideal_degree_slice(gs, 6)) == reduced_rows(all_multiples_slice(gs, 6))
+
+    def test_coinvariant_conclusive_at_n12(self):
+        gs = GeneratorSet(tuple(FAMILIES["coinv"](12)))
+        report = is_regular_sequence(gs)
+        assert report.ok and report.conclusive
+        dims = product_formula_dims(gs.degrees, 12) + [0]
+        assert list(report.actual) == dims[: report.horizon + 1]
+        assert gs._basis.complete == 12 and gs._slices == {}
+
+    def test_degree_beyond_the_packed_fields_refused_before_any_work(self):
+        top = _groebner.MAX_PACKED_DEGREE
+        message = f"^degree {top + 1} is above the packed-monomial ceiling {top}$"
+        gs = worked_generators("ex4")
+        with pytest.raises(ValueError, match=message):
+            ideal_degree_slice(gs, top + 1)
+        short = GeneratorSet((elementary_symmetric(1, 3), elementary_symmetric(2, 3)))
+        with pytest.raises(ValueError, match=message):
+            is_regular_sequence(short, bound=top + 1)
+        for untouched in (gs, short):
+            assert not untouched._slices and not untouched._basis.ends
+        # the highest exponent a field holds still packs
+        assert _groebner._unpack(_groebner._pack((top, 0, top)), 3) == (top, 0, top)
+
+
 class TestLeadIdealSeries:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -735,12 +873,12 @@ class TestLeadIdealSeries:
             sum(not any(all(a <= b for a, b in zip(g, m)) for g in gens) for m in monomials(n, d))
             for d in range(11)
         ]
-        for spanning in (gens, oracle._minimal_monomials(gens)):
-            assert oracle._series_dims(oracle._monomial_numerator(spanning), n, 10) == counts
+        for spanning in (gens, _groebner._minimal_monomials(gens)):
+            assert _groebner.series_dims(_groebner._monomial_numerator(spanning), n, 10) == counts
 
     def test_minimal_generators(self):
         gens = [(2, 1), (1, 1), (1, 1), (0, 3), (1, 2)]
-        assert oracle._minimal_monomials(gens) == [(1, 1), (0, 3)]
+        assert _groebner._minimal_monomials(gens) == [(1, 1), (0, 3)]
 
 
 class TestParser:
@@ -800,6 +938,31 @@ class TestParser:
         ]:
             with pytest.raises(ValueError, match=f"^degree {degree} is above the ceiling 100$"):
                 parse_poly(text, 15)
+
+    def test_term_ceiling(self):
+        assert oracle.MAX_TERMS == 20000
+        assert len(parse_poly("vdm", 7).terms) == 5040
+        assert len(parse_poly("e1^4", 16).terms) == comb(19, 4)
+        assert len(parse_poly("(x1 + x2 + x3)^30", 3).terms) == comb(32, 2)
+        for text, n, count in [
+            ("vdm", 8, 40320),
+            ("e8", 17, comb(17, 8)),
+            ("e3 * e3", 16, comb(22, 6)),
+            ("(e1 + 1)^9", 9, comb(18, 9)),
+        ]:
+            with pytest.raises(ValueError, match=f"^up to {count} terms is above the ceiling 20000$"):
+                parse_poly(text, n)
+
+    def test_term_ceiling_admits_every_elementary_symmetric_through_n16(self):
+        for n in range(1, 17):
+            for k in range(1, n + 1):
+                assert len(parse_poly(f"e{k}", n).terms) == comb(n, k)
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(GENS_DIR)))
+    def test_term_ceiling_admits_the_bundled_files(self, name):
+        n = int(m[1]) if (m := re.search(r"(\d)\.gens$", name)) and name[:2] != "ex" else 4
+        with open(os.path.join(GENS_DIR, name), encoding="utf-8") as handle:
+            assert parse_generator_file(handle.read(), n).n == n
 
     @pytest.mark.parametrize("text", ["2^3", "(x1 - x1 + 2)^2", "(x1 - x1)^2"])
     def test_power_of_a_constant_refused(self, text):
