@@ -8,7 +8,8 @@ Within a degree the integer order is then the grevlex column order of
 m + 2^(FIELD * (i - 1)), and l divides m exactly when m - l borrows into
 no field's top bit: that guard bit stays clear while every exponent is at
 most MAX_PACKED_DEGREE.  Rows are sparse dicts from packed monomials to
-integer coefficients, combined fraction-free by `_linalg._combine`.
+integer coefficients, reduced fraction-free in place by
+`_linalg._eliminate`, which takes the shift of the reducer.
 
 The module shares no code with the closed character formulas.
 """
@@ -16,12 +17,12 @@ The module shares no code with the closed character formulas.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 from math import comb
 
-from ._linalg import _as_int_row, _combine
+from ._linalg import _as_int_row, _eliminate, _primitive
 
 _FIELD = 10
+_MASK = (1 << _FIELD) - 1
 MAX_PACKED_DEGREE = (1 << (_FIELD - 1)) - 1
 
 
@@ -38,19 +39,29 @@ def _pack(exps) -> int:
 
 
 def _unpack(m: int, n: int) -> tuple[int, ...]:
-    mask = (1 << _FIELD) - 1
-    return tuple(m >> (_FIELD * i) & mask for i in range(n))
-
-
-def _times(row: dict[int, int], t: int) -> dict[int, int]:
-    """The row times the packed monomial t."""
-    return {c + t: v for c, v in row.items()}
+    return tuple(m >> (_FIELD * i) & _MASK for i in range(n))
 
 
 @cache
 def _guard(n: int) -> int:
     """The top bit of each of the n fields."""
     return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+
+
+@cache
+def _units(n: int) -> tuple[int, ...]:
+    """The packed variables x_1, ..., x_n."""
+    return tuple(1 << _FIELD * i for i in range(n))
+
+
+def _permute(m: int, perm) -> int:
+    """sigma . m for the 0-based variable map perm: the exponent of x_k
+    moves to x_perm[k]."""
+    out = 0
+    for p in perm:
+        out |= (m & _MASK) << _FIELD * p
+        m >>= _FIELD
+    return out
 
 
 class TruncatedBasis:
@@ -101,58 +112,47 @@ class TruncatedBasis:
                 """The earliest element of degree < e whose lead divides m, or -1."""
                 return next((k for k, lead in enumerate(leads) if not m - lead & guard), -1)
 
-            # built one at a time, as they are reduced
-            rows = chain(
-                (
-                    _as_int_row({_pack(m): c for m, c in terms.items()})
-                    for degree, terms in self.gens
-                    if degree == e
-                ),
-                (
-                    _times(elements[j][1], m - elements[j][0])
-                    for i, j, m in self.pairs.pop(e, ())
-                    if earliest(m) == i
-                ),
-            )
+            def rows():
+                """The rows of degree e, each a new dict, built as they are reduced."""
+                for degree, terms in self.gens:
+                    if degree == e:
+                        yield _as_int_row({_pack(m): c for m, c in terms.items()})
+                for i, j, m in self.pairs.pop(e, ()):
+                    if earliest(m) == i:
+                        t = m - leads[j]
+                        yield {c + t: v for c, v in elements[j][1].items()}
+
             # the earliest element dividing each lead met in this degree, and
             # the new elements of G; multiples are not kept, as a degree can
             # meet many leads with long multiples
             divisors: dict[int, int] = {}
             new: dict[int, dict[int, int]] = {}
-            for row in rows:
+            for row in rows():
                 while row:
                     lead = min(row)
                     k = divisors.get(lead)
                     if k is None:
                         k = divisors[lead] = earliest(lead)
                     if k >= 0:
-                        row = _combine(row, _times(elements[k][1], lead - leads[k]), lead)
+                        _eliminate(row, elements[k][1], lead, lead - leads[k])
                     elif lead in new:
-                        row = _combine(row, new[lead], lead)
+                        _eliminate(row, new[lead], lead)
                     else:
-                        new[lead] = row
+                        new[lead] = _primitive(row)
                         break
-            exps = [_unpack(lead, n) for lead in leads]
-            for lead in sorted(new):
-                mine = _unpack(lead, n)
-                for i, other in enumerate(exps):
-                    if any(a and b for a, b in zip(mine, other)):
-                        m = tuple(max(a, b) for a, b in zip(mine, other))
-                        self.pairs.setdefault(sum(m), []).append((i, len(exps), _pack(m)))
-                exps.append(mine)
-                elements.append((lead, new[lead]))
+            if new:
+                exps = [_unpack(lead, n) for lead in leads]
+                for lead in sorted(new):
+                    mine = _unpack(lead, n)
+                    for i, other in enumerate(exps):
+                        if any(a and b for a, b in zip(mine, other)):
+                            m = tuple(max(a, b) for a, b in zip(mine, other))
+                            self.pairs.setdefault(sum(m), []).append((i, len(exps), _pack(m)))
+                    exps.append(mine)
+                    elements.append((lead, new[lead]))
             self.ends.append(len(elements))
             if self.complete is None and e >= top and not self.pairs:
                 self.complete = e
-
-    def of_degree(self, d: int) -> list[tuple[tuple[int, ...], dict[tuple[int, ...], int]]]:
-        """The elements of degree d, which G must be grown through, as
-        (lead exponents, {exponents: integer coefficient})."""
-        n = self.n
-        return [
-            (_unpack(lead, n), {_unpack(m, n): v for m, v in row.items()})
-            for lead, row in self.elements[self.ends[d - 1] if d else 0 : self.ends[d]]
-        ]
 
     def numerator(self) -> list[int]:
         """The Hilbert-series numerator of R / <LM(G)>, for G as grown so far.

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts mapping a column index to a nonzero coefficient.  The
-elimination core is fraction-free: denominators are cleared up front and
-each combined row is divided by its integer content, so entries stay
-integral until a unit pivot is actually needed.
+Rows are dicts mapping a column key to a nonzero coefficient.  The
+elimination core is fraction-free: denominators are cleared up front, and
+every step goes through one in-place kernel, `_eliminate`.  The integer
+content of a row is taken once per finished row and after each step whose
+pivot entry is not a unit, so entries stay integral and small.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ def _as_int_row(row: dict) -> dict[int, int]:
     """Clear denominators and divide out the content of a sparse row.
 
     A row of nonzero ints with content 1 is returned as it is, not
-    copied: no code here modifies a row in place.
+    copied, so it must be copied before `_eliminate` first steps on it.
     """
     if not row:
         return {}
@@ -29,40 +30,44 @@ def _as_int_row(row: dict) -> dict[int, int]:
     for v in row.values():
         if isinstance(v, Fraction):
             denom = lcm(denom, v.denominator)
-    ints: dict[int, int] = {}
-    for c, v in row.items():
-        iv = int(v * denom)
-        if iv:
-            ints[c] = iv
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+    return _primitive({c: iv for c, v in row.items() if (iv := int(v * denom))})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide the integer content out of a row, in place."""
+    g = gcd(*row.values())
     if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+        for c in row:
+            row[c] //= g
+    return row
 
 
-def _combine(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
-    """a*row - b*piv with the entry at col eliminated, content divided out."""
-    a = piv[col]
+def _eliminate(row: dict[int, int], piv: dict[int, int], col: int, t: int = 0) -> None:
+    """row <- a*row - b*(t*piv), in place: column col of a row the caller
+    owns is cleared by the reducer piv shifted by t, whose pivot entry a
+    (made positive, with b the row's entry) sits at col - t.
+
+    Only the reducer's entries are touched, unless a is not 1: then the row
+    is scaled first and its content taken after the step.  Keys keep their
+    order, so a chain of steps and then `_primitive` gives the rows, order
+    and signs of a chain that takes the content after every step.
+    """
+    a = piv[col - t]
     b = row[col]
     if a < 0:
         a, b = -a, -b
-    new = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
-    for c, v in piv.items():
-        w = new.get(c, 0) - b * v
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    get = row.get
+    for c, v in zip([c + t for c in piv], piv.values()) if t else piv.items():
+        w = get(c, 0) - b * v
         if w:
-            new[c] = w
-        elif c in new:
-            del new[c]
-    if not new:
-        return new
-    g = gcd(*new.values())
-    if g > 1:
-        new = {c: v // g for c, v in new.items()}
-    return new
+            row[c] = w
+        else:
+            del row[c]
+    if a != 1 and row:
+        _primitive(row)
 
 
 class Echelon:
@@ -94,9 +99,9 @@ class Echelon:
         row reads exactly the rows at the pivot columns of its support,
         and reducing only those, transitively, gives each of them the
         same entries as reducing every row.  The work is proportional to
-        the entries, not to rank squared.  Rows are replaced, never
-        modified in place, and `_combine` scales each by a positive
-        factor, so every lead keeps its sign.
+        the entries, not to rank squared.  A row is copied before its first
+        step and the copy replaces it, so no caller's row is modified, and
+        each step scales by a positive factor, so every lead keeps its sign.
         """
         rows = self.pivot_rows
         done = self._reduced
@@ -113,10 +118,12 @@ class Echelon:
                     todo.add(p)
                     stack.extend(c for c in rows[p] if c in rows and c not in done)
         for p in sorted(todo, reverse=True):
-            row = rows[p]
-            for c in sorted((c for c in row if c != p and c in rows), reverse=True):
-                row = _combine(row, rows[c], c)
-            rows[p] = row
+            cols = sorted((c for c in rows[p] if c != p and c in rows), reverse=True)
+            if cols:
+                row = dict(rows[p])
+                for c in cols:
+                    _eliminate(row, rows[c], c)
+                rows[p] = _primitive(row)
         done |= todo
         return self
 
@@ -137,38 +144,48 @@ class Echelon:
         return out
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        """Whether the row lies in the row span: its lead stays a pivot
+        column until every entry is eliminated."""
+        row = dict(_as_int_row(row))
+        rows = self.pivot_rows
+        while row:
+            lead = min(row)
+            if lead not in rows:
+                return False
+            _eliminate(row, rows[lead], lead)
+        return True
 
 
 def echelon(rows) -> Echelon:
-    """Echelonize sparse rows, picking pivots left to right in column order."""
-    buckets: dict[int, list[dict[int, int]]] = {}
+    """Echelonize sparse rows, picking pivots left to right in column order.
+    A row is copied before its first step and made primitive as a pivot."""
+    # lead -> [(row, whether the row is a copy made here)]
+    buckets: dict[int, list[tuple[dict[int, int], bool]]] = {}
     heap: list[int] = []
 
-    def push(r: dict[int, int]) -> None:
+    def push(r: dict[int, int], mine: bool) -> None:
         lead = min(r)
         if lead not in buckets:
             buckets[lead] = []
             heappush(heap, lead)
-        buckets[lead].append(r)
+        buckets[lead].append((r, mine))
 
     for raw in rows:
         r = _as_int_row(raw)
         if r:
-            push(r)
+            push(r, r is not raw)
 
     pivot_rows: dict[int, dict[int, int]] = {}
     while heap:
         col = heappop(heap)
-        here = buckets.pop(col, [])
-        if not here:
-            continue
-        here.sort(key=len)
-        piv = here[0]
-        pivot_rows[col] = piv
-        for r in here[1:]:
-            nr = _combine(r, piv, col)
-            if nr:
-                push(nr)
+        here = buckets.pop(col)
+        here.sort(key=lambda entry: len(entry[0]))
+        piv, mine = here[0]
+        pivot_rows[col] = _primitive(piv) if mine else piv
+        for r, mine in here[1:]:
+            if not mine:
+                r = dict(r)
+            _eliminate(r, piv, col)
+            if r:
+                push(r, True)
     return Echelon(pivot_rows, reduced=False)
-

@@ -10,12 +10,15 @@ at a time by Buchberger reduction on packed monomials
 (`_groebner.TruncatedBasis`).  Once every generator is in and no
 critical pair waits, G is a full Groebner basis.  The regular-sequence
 test builds no slice: it reads each quotient dimension off the Hilbert
-series of <LM(G)>.  A degree slice is a view of G (`_build_slice`): the
-previous slice's reducers times each variable, plus the elements of G of
-that degree, whose leads are all distinct.  Traces read reduced slice
-rows through the completion degree; past it they read normal forms off
-multiplication tables on the standard monomials, as in FGLM (Faugere,
-Gianni, Lazard and Mora 1993), with no slice.
+series of <LM(G)>.  Slices, standard monomials and normal forms are
+keyed by the same packed monomials as G.  A degree slice is a view of G
+(`_build_slice`): the previous slice's reducers times each variable, plus
+the elements of G of that degree, whose leads are all distinct.  The
+standard monomials of each degree grow from the previous degree, less
+that degree's new leads.  Traces read reduced slice rows through the
+completion degree; past it they read normal forms off multiplication
+tables on the standard monomials, as in FGLM (Faugere, Gianni, Lazard and
+Mora 1993), with no slice.
 
 The module shares no code with the closed character formulas it is used
 to check.
@@ -33,6 +36,11 @@ from math import comb, factorial, prod
 
 from ._groebner import (
     TruncatedBasis,
+    _guard,
+    _pack,
+    _permute,
+    _units,
+    _unpack,
     check_packable,
     series_dim,
     series_dims,
@@ -214,11 +222,6 @@ def monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(vecs)
 
 
-@cache
-def _monomial_index(n: int, d: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(monomials(n, d))}
-
-
 def elementary_symmetric(k: int, n: int) -> MultiPoly:
     """The k-th elementary symmetric polynomial in n variables."""
     if not 1 <= require_int(k, "k") <= require_int(n, "n"):
@@ -287,7 +290,7 @@ class GeneratorSet:
     the highest one asked for, with a reducer row for each leading
     monomial of the top slice.  Traces keep the standard monomials of each
     degree and the normal forms they have read; past the completion degree
-    these are all they keep, with no slice.
+    these are all they keep, with no slice.  Monomials are packed as in G.
     """
 
     def __init__(self, gens, n: int | None = None):
@@ -306,14 +309,14 @@ class GeneratorSet:
         self._slices: dict[int, DegreeSlice] = {}
         # The truncated Groebner basis, grown as far as any query needed.
         self._basis = TruncatedBasis(n, zip(self.degrees, (g.terms for g in gens)))
-        # Leading column of the top slice -> the multiple of the earliest
+        # Leading monomial of the top slice -> the multiple of the earliest
         # basis element whose lead divides it, in nondecreasing element order.
         self._reducers: dict[int, dict[int, int]] = {}
         # The standard monomials of each degree from 0 up, and the memoized
         # normal forms {standard monomial: coefficient} of the monomials a
         # trace has read, including the border past the completion degree.
-        self._standard: list[frozenset[tuple[int, ...]]] = []
-        self._forms: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
+        self._standard: list[frozenset[int]] = []
+        self._forms: dict[int, dict[int, object]] = {}
         self._stable: bool | None = None
 
     def __repr__(self) -> str:
@@ -326,36 +329,34 @@ class GeneratorSet:
             self._stable = self._check_stability()
         return self._stable
 
-    def _span_echelons(self) -> Iterator[tuple[int, list[MultiPoly], Echelon]]:
-        """(d, the degree-d generators, the echelon of their span) for each
+    def _span_echelons(self) -> Iterator[tuple[list[MultiPoly], Echelon]]:
+        """(the degree-d generators, the echelon of their span) for each
         generator degree d, in increasing order."""
         by_degree: dict[int, list[MultiPoly]] = {}
         for g in self.gens:
             by_degree.setdefault(g.degree(), []).append(g)
-        for d, gens in sorted(by_degree.items()):
-            index = _monomial_index(self.n, d)
-            yield d, gens, echelon([_poly_row(g, index) for g in gens])
+        for _, gens in sorted(by_degree.items()):
+            yield gens, echelon([_poly_row(g) for g in gens])
 
     def _check_stability(self) -> bool:
-        for d, gens, ech in self._span_echelons():
-            index = _monomial_index(self.n, d)
+        for gens, ech in self._span_echelons():
             for k in range(self.n - 1):
                 perm = list(range(self.n))
                 perm[k], perm[k + 1] = perm[k + 1], perm[k]
                 for g in gens:
-                    moved = g.apply_permutation(tuple(perm))
-                    if not ech.contains(_poly_row(moved, index)):
+                    if not ech.contains(_poly_row(g.apply_permutation(tuple(perm)))):
                         return False
         return True
 
 
-def _poly_row(g: MultiPoly, index: dict) -> dict[int, object]:
-    return {index[e]: c for e, c in g.terms.items()}
+def _poly_row(g: MultiPoly) -> dict[int, object]:
+    return {_pack(e): c for e, c in g.terms.items()}
 
 
 @dataclass
 class DegreeSlice:
-    """Echelonized degree-d piece of an ideal over the monomial basis."""
+    """Echelonized degree-d piece of an ideal, its columns the packed
+    degree-d monomials in grevlex order."""
 
     n: int
     degree: int
@@ -365,22 +366,20 @@ class DegreeSlice:
     def basis(self) -> list[MultiPoly]:
         """Reduced echelon basis polynomials, unit leading coefficients,
         ordered by leading monomial."""
-        mons = monomials(self.n, self.degree)
         self.echelon.ensure_reduced()
         out = []
         for p in self.echelon.pivots:
             row = self.echelon.pivot_rows[p]
             lead = row[p]
             out.append(
-                MultiPoly(self.n, {mons[c]: Fraction(v, lead) for c, v in row.items()})
+                MultiPoly(self.n, {_unpack(c, self.n): Fraction(v, lead) for c, v in row.items()})
             )
         return out
 
     def standard_monomials(self) -> list[tuple[int, ...]]:
         """Monomials spanning the quotient slice (non-pivot columns)."""
-        mons = monomials(self.n, self.degree)
-        pivots = set(self.echelon.pivot_rows)
-        return [m for i, m in enumerate(mons) if i not in pivots]
+        pivots = self.echelon.pivot_rows
+        return [m for m in monomials(self.n, self.degree) if _pack(m) not in pivots]
 
 
 def ideal_degree_slice(gs: GeneratorSet, d: int) -> DegreeSlice:
@@ -402,110 +401,93 @@ def _build_slice(gs: GeneratorSet, d: int) -> None:
 
     Its rows are the previous slice's reducers times each variable (for
     each monomial T of <LM(G_<d)>_d, the multiple of the earliest element
-    whose lead divides T) and the degree-d elements of G.  Their leads are
-    distinct, and as G is a d-truncated Groebner basis there is one per
-    pivot of I_d, so the echelon eliminates nothing.
+    whose lead divides T) and the degree-d elements of G, as stored.  Their
+    leads are distinct, and as G is a d-truncated Groebner basis there is
+    one per pivot of I_d, so the echelon eliminates nothing.
     """
-    gs._basis.grow(d)
-    n = gs.n
+    basis = gs._basis
+    basis.grow(d)
     reducers: dict[int, dict[int, int]] = {}
-    if gs._reducers:
-        shifts = _variable_shifts(n, d - 1)
-        # _reducers runs in nondecreasing element order, so the first
-        # multiple to reach a column is that of the earliest element
-        # dividing it, and this dict keeps the same order.
-        for p, row in gs._reducers.items():
-            for shift in shifts:
-                col = shift[p]
-                if col not in reducers:
-                    reducers[col] = {shift[c]: v for c, v in row.items()}
-    index = _monomial_index(n, d)
-    for lead, row in gs._basis.of_degree(d):
-        reducers[index[lead]] = {index[m]: v for m, v in row.items()}
+    # _reducers runs in nondecreasing element order, so the first multiple
+    # to reach a monomial is that of the earliest element dividing it, and
+    # this dict keeps the same order.
+    for p, row in gs._reducers.items():
+        for u in _units(gs.n):
+            if p + u not in reducers:
+                reducers[p + u] = {c + u: v for c, v in row.items()}
+    for lead, row in basis.elements[basis.ends[d - 1] if d else 0 : basis.ends[d]]:
+        reducers[lead] = row
     ech = echelon(list(reducers.values()))
     gs._reducers = reducers
-    gs._slices[d] = DegreeSlice(n, d, ech.rank, ech)
+    gs._slices[d] = DegreeSlice(gs.n, d, ech.rank, ech)
 
 
-@cache
-def _variable_shifts(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """For each variable x_i, the degree-(d + 1) column of x_i times each
-    degree-d monomial, indexed by the degree-d column."""
-    index = _monomial_index(n, d + 1)
-    return tuple(
-        tuple(index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monomials(n, d))
-        for i in range(n)
-    )
+def _standard_monomials(gs: GeneratorSet, d: int) -> frozenset[int]:
+    """The packed degree-d monomials outside the leading ideal of I.
 
-
-def _standard_monomials(gs: GeneratorSet, d: int) -> frozenset[tuple[int, ...]]:
-    """The degree-d monomials outside the leading ideal of I.
-
-    Through the completion degree D they are the non-pivot columns of the
-    slice.  Past D they grow from degree d - 1 (`_grow_standard`), with no
-    slice.  Once a degree has none, no higher degree has any.
+    They grow from degree d - 1 (`_grow_standard`).  Once a degree has
+    none, no higher degree has any.
     """
     std = gs._standard
     while len(std) <= d:
         e = len(std)
-        if e and not std[-1]:
+        if not e:
+            std.append(frozenset((0,)))
+        elif not std[-1]:
             std.append(frozenset())
-        elif gs._basis.complete is None or e <= gs._basis.complete:
-            std.append(frozenset(ideal_degree_slice(gs, e).standard_monomials()))
         else:
-            std.append(_grow_standard(gs, std[-1]))
+            std.append(_grow_standard(gs, std[-1], e))
     return std[d]
 
 
-def _shift(m: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
-    """The exponent vector of x_k^by * m (0-based k, by may be -1)."""
-    return m[:k] + (m[k] + by,) + m[k + 1:]
+def _grow_standard(gs: GeneratorSet, prev: frozenset, d: int) -> frozenset:
+    """Standard monomials of degree d from those of degree d - 1, and past
+    the completion degree D the normal forms of the border: the other
+    products x_k * s with s standard of degree d - 1.
 
-
-def _grow_standard(gs: GeneratorSet, prev: frozenset) -> frozenset:
-    """Standard monomials of a degree d > D, from those of degree d - 1,
-    and the normal forms of the border: the other products x_k * s with s
-    standard of degree d - 1.
-
-    Every minimal lead of G has degree <= D < d, so a degree-d monomial is
-    standard exactly when no minimal lead divides it, that is, when all
-    its degree d - 1 divisors are standard.  A border monomial b has a
-    divisor b / x_k outside the standard monomials, so
-    NF(b) = NF(x_k * NF(b / x_k)): a sum of normal forms of products x_k * r
-    with r < b / x_k standard, each below b.  The border is therefore
-    filled in increasing order, and every entry it reads is ready: these
-    are the multiplication tables by each variable on the standard
-    monomials, keyed by the product.
+    G grows through d first, so a degree-d monomial is standard exactly
+    when all its degree d - 1 divisors are standard and it is not the lead
+    of a degree-d element of G.  Past D there are no such leads.  A border
+    monomial b has a divisor b / x_k outside the standard monomials, so
+    NF(b) = NF(x_k * NF(b / x_k)): a sum of normal forms of products
+    x_k * r with r < b / x_k standard, each below b.  The border is
+    therefore filled in increasing order (decreasing packed ints), and
+    every entry it reads is ready: these are the multiplication tables by
+    each variable on the standard monomials, keyed by the product.
     """
-    n = gs.n
-    std: set[tuple[int, ...]] = set()
-    border: set[tuple[int, ...]] = set()
+    basis, units, guard = gs._basis, _units(gs.n), _guard(gs.n)
+    basis.grow(d)
+    leads = {lead for lead, _ in basis.elements[basis.ends[d - 1] : basis.ends[d]]}
+    std: set[int] = set()
+    border: set[int] = set()
     for s in prev:
-        for i in range(n):
-            m = _shift(s, i, 1)
+        for u in units:
+            m = s + u
             if m in std or m in border:
                 continue
-            if all(not m[k] or _shift(m, k, -1) in prev for k in range(n)):
+            if m not in leads and all(m - v & guard or m - v in prev for v in units):
                 std.add(m)
             else:
                 border.add(m)
-    # increasing grevlex order: decreasing reversed exponent vectors
-    for b in sorted(border, key=lambda m: m[::-1], reverse=True):
-        k = next(k for k in range(n) if b[k] and _shift(b, k, -1) not in prev)
-        gs._forms[b] = _times_variable(gs._forms, _normal_form(gs, _shift(b, k, -1)), k, std)
+    if basis.complete is not None and d > basis.complete:
+        for b in sorted(border, reverse=True):
+            u = next(u for u in units if not b - u & guard and b - u not in prev)
+            gs._forms[b] = _times_variable(gs._forms, _normal_form(gs, b - u, d - 1), u, std)
     return frozenset(std)
 
 
-def _times_variable(forms: dict, form: dict, k: int, std) -> dict:
-    """NF(x_k * f) for f in normal form, from the degree's border forms."""
-    out: dict[tuple[int, ...], object] = {}
+def _times_variable(forms: dict, form: dict, u: int, std) -> dict:
+    """NF(u * f) for the packed variable u and f in normal form, from the
+    degree's border forms."""
+    out: dict[int, object] = {}
+    get = out.get
     for r, c in form.items():
-        m = _shift(r, k, 1)
+        m = r + u
         if m in std:
-            out[m] = out.get(m, 0) + c
+            out[m] = get(m, 0) + c
         else:
             for t, v in forms[m].items():
-                out[t] = out.get(t, 0) + c * v
+                out[t] = get(t, 0) + c * v
     return {
         t: v.numerator if type(v) is Fraction and v.denominator == 1 else v
         for t, v in out.items()
@@ -513,49 +495,48 @@ def _times_variable(forms: dict, form: dict, k: int, std) -> dict:
     }
 
 
-def _slice_form(gs: GeneratorSet, m: tuple[int, ...]) -> dict:
-    """NF(m) for a pivot monomial m of a slice: minus the reduced row at m
-    over its lead, which back-reduces only that row and the rows it reads."""
-    d = sum(m)
-    p = _monomial_index(gs.n, d)[m]
-    row = gs._slices[d].echelon.ensure_reduced((p,)).pivot_rows[p]
-    lead = row[p]
-    mons = monomials(gs.n, d)
+def _slice_form(gs: GeneratorSet, m: int, d: int) -> dict:
+    """NF(m) for a pivot monomial m of the degree-d slice: minus the reduced
+    row at m over its lead, which back-reduces only that row and the rows
+    it reads."""
+    sl = gs._slices[d] if d in gs._slices else ideal_degree_slice(gs, d)
+    row = sl.echelon.ensure_reduced((m,)).pivot_rows[m]
+    lead = row[m]
     return {
-        mons[c]: -v // lead if v % lead == 0 else Fraction(-v, lead)
+        c: -v // lead if v % lead == 0 else Fraction(-v, lead)
         for c, v in row.items()
-        if c != p
+        if c != m
     }
 
 
-def _normal_form(gs: GeneratorSet, m: tuple[int, ...]) -> dict:
-    """NF(m) modulo I as {standard monomial: coefficient}, memoized.
+def _normal_form(gs: GeneratorSet, m: int, d: int) -> dict:
+    """NF(m) modulo I, for a packed monomial m of degree d, as
+    {standard monomial: coefficient}, memoized.
 
     Through the completion degree D it is read off the slice.  Past D a
     monomial off the border has no standard divisor of degree d - 1, and
     NF(m) = NF(x_k * NF(m / x_k)) for any x_k dividing m; the divisor
     already known, if any, is taken.
     """
-    forms = gs._forms
-    chain: list[tuple[tuple[int, ...], int, frozenset]] = []
+    forms, units, guard = gs._forms, _units(gs.n), _guard(gs.n)
+    chain: list[tuple[int, int, frozenset]] = []
     while True:
-        d = sum(m)
-        std = _standard_monomials(gs, d)
         if m in forms:
             form = forms[m]
             break
+        std = _standard_monomials(gs, d)
         if m in std:
             form = {m: 1}
             break
         if gs._basis.complete is None or d <= gs._basis.complete:
-            form = forms[m] = _slice_form(gs, m)
+            form = forms[m] = _slice_form(gs, m, d)
             break
-        ks = [k for k in range(gs.n) if m[k]]
-        k = next((k for k in ks if _shift(m, k, -1) in forms), ks[0])
-        chain.append((m, k, std))
-        m = _shift(m, k, -1)
-    for m, k, std in reversed(chain):
-        form = forms[m] = _times_variable(forms, form, k, std)
+        ks = [u for u in units if not m - u & guard]
+        u = next((u for u in ks if m - u in forms), ks[0])
+        chain.append((m, u, std))
+        m, d = m - u, d - 1
+    for m, u, std in reversed(chain):
+        form = forms[m] = _times_variable(forms, form, u, std)
     return form
 
 
@@ -578,10 +559,7 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
         raise ValueError("degree must be nonnegative")
     total = 0  # an int while every coefficient read is one
     for s in _standard_monomials(gs, d):
-        image = [0] * gs.n
-        for k, e in enumerate(s):
-            image[perm[k]] = e
-        total += _normal_form(gs, tuple(image)).get(s, 0)
+        total += _normal_form(gs, _permute(s, perm), d).get(s, 0)
     if type(total) is Fraction:
         if total.denominator != 1:
             raise ArithmeticError(f"non-integral trace {total} at degree {d}")
@@ -623,18 +601,16 @@ def span_character(gs: GeneratorSet) -> ClassFunction:
     if not gs.is_stable():
         raise ValueError("generator span is not stable under the variable permutations")
     n = gs.n
-    echelons = [(d, ech.ensure_reduced()) for d, _, ech in gs._span_echelons()]
+    echelons = [ech.ensure_reduced() for _, ech in gs._span_echelons()]
     values = {}
     for mu in partitions_of(n):
         perm = representative_permutation(mu)
+        inverse = sorted(range(n), key=perm.__getitem__)
         total = Fraction(0)
-        for d, ech in echelons:
-            mons = monomials(n, d)
-            index = _monomial_index(n, d)
+        for ech in echelons:
             for p, row in ech.pivot_rows.items():
                 # (sigma . row) at column p equals row at sigma^{-1} . p
-                pre = tuple(mons[p][perm[k]] for k in range(n))
-                v = row.get(index[pre])
+                v = row.get(_permute(p, inverse))
                 if v:
                     total += Fraction(v, row[p])
         if total.denominator != 1:

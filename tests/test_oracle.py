@@ -1,21 +1,21 @@
 import os
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symci import _groebner, oracle
-from symci._linalg import Echelon, _combine, echelon
+from symci._linalg import Echelon, echelon
 from symci.characters import decompose
 from symci.classify import RepresentationType
 from symci.graded import quotient_character
 from symci.oracle import (
-    DegreeSlice,
     GeneratorSet,
     MultiPoly,
     elementary_symmetric,
@@ -36,6 +36,7 @@ from symci.oracle import (
 from symci.partitions import Partition
 
 from golden import WORKED
+from test_linalg import combine
 
 GENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "gens")
 
@@ -46,6 +47,28 @@ def x(i, n=4):
 
 def worked_generators(key, n=4):
     return GeneratorSet(tuple(parse_poly(s, n) for s in WORKED[key]["gens"]))
+
+
+@dataclass
+class ReferenceSlice:
+    """A degree-d slice over dense columns: column i is monomials(n, d)[i]."""
+
+    n: int
+    degree: int
+    dimension: int
+    echelon: Echelon
+
+    def basis(self):
+        mons = monomials(self.n, self.degree)
+        pivots = self.echelon.ensure_reduced().pivot_rows
+        return [
+            MultiPoly(self.n, {mons[c]: Fraction(v, row[p]) for c, v in row.items()})
+            for p, row in sorted(pivots.items())
+        ]
+
+    def standard_monomials(self):
+        pivots = self.echelon.pivot_rows
+        return [m for i, m in enumerate(monomials(self.n, self.degree)) if i not in pivots]
 
 
 def all_multiples_slice(gs, d):
@@ -59,7 +82,7 @@ def all_multiples_slice(gs, d):
         for m in monomials(gs.n, d - g.degree())
     ]
     ech = echelon(rows)
-    return DegreeSlice(gs.n, d, ech.rank, ech)
+    return ReferenceSlice(gs.n, d, ech.rank, ech)
 
 
 def reduced_rows(sl):
@@ -76,7 +99,7 @@ def reduced_by_pairwise_scan(pivot_rows):
         prow = rows[p]
         for q in list(rows):
             if q < p and p in rows[q]:
-                rows[q] = _combine(rows[q], prow, p)
+                rows[q] = combine(rows[q], prow, p)
     return rows
 
 
@@ -200,27 +223,24 @@ def generator_lists(draw, stable=False):
 
 
 def reference_trace(sl, perm):
-    """Trace of perm on the quotient slice, read off the fully reduced
-    echelon of a degree slice: the coefficient of each standard monomial
-    s in the normal form of perm . s.  This is the all-slices trace the
-    oracle used in every degree before it read normal forms past the
-    completion degree."""
-    mons = monomials(sl.n, sl.degree)
-    index = {m: i for i, m in enumerate(mons)}
-    pivots = sl.echelon.ensure_reduced().pivot_rows
+    """Trace of perm on the quotient slice, read off the reduced echelon
+    basis of a degree slice: the coefficient of each standard monomial s
+    in the normal form of perm . s, which is perm . s itself when that is
+    standard and otherwise minus the rest of the basis element it leads.
+    This is the all-slices trace the oracle used in every degree before it
+    read normal forms past the completion degree."""
+    index = {m: i for i, m in enumerate(monomials(sl.n, sl.degree))}
+    rows = {min(b.terms, key=index.__getitem__): b.terms for b in sl.basis()}
     total = Fraction(0)
-    for col, exps in enumerate(mons):
-        if col in pivots:
-            continue
+    for s in sl.standard_monomials():
         image = [0] * sl.n
-        for k, e in enumerate(exps):
+        for k, e in enumerate(s):
             image[perm[k]] = e
-        icol = index[tuple(image)]
-        if icol == col:
+        image = tuple(image)
+        if image == s:
             total += 1
-        elif icol in pivots:
-            row = pivots[icol]
-            total -= Fraction(row.get(col, 0), row[icol])
+        elif image in rows:
+            total -= rows[image].get(s, 0)
     return total
 
 
@@ -416,11 +436,25 @@ class TestDegreeSlices:
     )
     def test_matches_all_multiples_reference(self, name):
         gs = named_ideal(name)
+        terms = [dict(g.terms) for g in gs.gens]
         horizon = sum(gs.degrees) - gs.n + 1
+        grown = []
+
+        def items(rows):
+            return [(p, list(row.items())) for p, row in rows]
+
         for d in range(horizon + 1):
             got = ideal_degree_slice(gs, d)
             want = all_multiples_slice(gs, d)
             assert got.dimension == want.dimension, (name, d)
+            # growing G through d modified no element grown before
+            assert items(gs._basis.elements[: len(grown)]) == grown, (name, d)
+            grown = items(gs._basis.elements)
+            # the slice's rows are its reducers' dicts, some of them G's
+            # elements; echelon, with every row twice, modifies none of them
+            reducers = items(gs._reducers.items())
+            rows = list(gs._reducers.values())
+            assert echelon(rows + rows).rank == got.dimension
             # the one-pass back-substitution gives the pairwise scan's rows:
             # same entries in the same order, signs included, and it
             # modifies no row in place
@@ -434,6 +468,12 @@ class TestDegreeSlices:
             }, (name, d)
             assert original == copies, (name, d)
             assert reduced_rows(got) == reduced_rows(want), (name, d)
+            # and neither does membership
+            assert all(got.echelon.contains(row) for row in rows), (name, d)
+            assert all(got.echelon.contains(row) for row in original.values()), (name, d)
+            assert items(gs._reducers.items()) == reducers, (name, d)
+            assert items(gs._basis.elements) == grown, (name, d)
+        assert [g.terms for g in gs.gens] == terms
 
     @settings(max_examples=120, deadline=None)
     @given(generator_lists())
@@ -606,9 +646,20 @@ class TestTracesPastCompletion:
         reference = named_ideal(name)
         assert_reference_traces(reference, got, lambda d: ideal_degree_slice(reference, d), bound)
         assert got.exact
-        # no slice past the completion degree
+        # no slice past the completion degree, and through it every degree
+        # where a representative moves a standard monomial off the standard
+        # ones, since that normal form is a slice row
         if gs._basis.complete is not None:
-            assert sorted(gs._slices) == list(range(min(gs._basis.complete, bound) + 1))
+            top = min(gs._basis.complete, bound)
+            read = [-1]
+            for d in range(top + 1):
+                std = set(ideal_degree_slice(reference, d).standard_monomials())
+                for mu in partitions_of(gs.n):
+                    perm = representative_permutation(mu)
+                    if any(tuple(s[perm.index(k)] for k in range(gs.n)) not in std for s in std):
+                        read.append(d)
+            assert sorted(gs._slices) == list(range(len(gs._slices)))
+            assert max(read) < len(gs._slices) <= top + 1
 
     def test_families_complete_below_the_top(self):
         # the normal-form path is the one these families exercise
@@ -673,12 +724,15 @@ class TestTracesPastCompletion:
 
     def test_no_slice_past_the_first_full_one(self):
         # ex3 is never complete through its top degree 9; its degree-10
-        # slice fills R_10, so every later trace is zero without a slice
+        # slice would fill R_10, and the leads of G already leave no standard
+        # monomial there, so every trace from degree 10 on is zero without
+        # a slice
         gs = worked_generators("ex3")
         assert quotient_graded_character(gs, 12).exact
         assert gs._basis.complete is None
         assert quotient_trace(gs, 14, (1, 0, 2, 3)) == 0
-        assert sorted(gs._slices) == list(range(11))
+        assert sorted(gs._slices) == list(range(10))
+        assert ideal_degree_slice(gs, 10).dimension == comb(4 + 10 - 1, 10)
 
 
 class TestRegularSequences:
@@ -766,9 +820,17 @@ class TestBasisEngine:
             assert [_groebner._unpack(m, n) for m in packed] == list(mons)
             if d < 6:
                 up = [_groebner._pack(m) for m in monomials(n, d + 1)]
-                for i, shift in enumerate(oracle._variable_shifts(n, d)):
-                    x_i = _groebner._pack(tuple(int(k == i) for k in range(n)))
-                    assert [up.index(m + x_i) for m in packed] == list(shift), (d, i)
+                index = {m: i for i, m in enumerate(monomials(n, d + 1))}
+                for i, x_i in enumerate(_groebner._units(n)):
+                    shift = [index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in mons]
+                    assert [up.index(m + x_i) for m in packed] == shift, (d, i)
+            # a permutation moves the fields: the exponent of x_k goes to x_perm[k]
+            for perm in permutations(range(n)):
+                for m in mons:
+                    image = [0] * n
+                    for k, e in enumerate(m):
+                        image[perm[k]] = e
+                    assert _groebner._permute(_groebner._pack(m), perm) == _groebner._pack(image)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -815,8 +877,9 @@ class TestBasisEngine:
             assert [_groebner._unpack(lead, n) for lead, _ in elements] == minimal, d
             index = {_groebner._pack(m): i for i, m in enumerate(mons)}
             for lead, row in elements:
-                # an element of the ideal, led by its lead
+                # a primitive integer element of the ideal, led by its lead
                 assert min(row) == lead
+                assert gcd(*row.values()) == 1
                 assert want.echelon.contains({index[m]: v for m, v in row.items()}), d
             below += minimal
         # so the leads of G are the minimal generators of <LM(G)>
@@ -840,6 +903,21 @@ class TestBasisEngine:
         dims = product_formula_dims(gs.degrees, 12) + [0]
         assert list(report.actual) == dims[: report.horizon + 1]
         assert gs._basis.complete == 12 and gs._slices == {}
+
+    def test_trace_beyond_the_packed_fields_refused(self):
+        # the quotient by x1^300, x2^300 reaches degree 598, and its standard
+        # monomials and normal forms past degree 511 have no packed key
+        n, top = 2, _groebner.MAX_PACKED_DEGREE
+        gs = GeneratorSet((x(1, n) ** 300, x(2, n) ** 300))
+        assert quotient_trace(gs, top, (1, 0)) == 0
+        with pytest.raises(ValueError, match=f"^degree {top + 1} is above the packed-monomial"):
+            quotient_graded_character(gs, top + 1)
+        with pytest.raises(ValueError, match="packed-monomial ceiling"):
+            quotient_trace(GeneratorSet((x(1, n) ** 300, x(2, n) ** 300)), top + 1, (0, 1))
+        # a quotient that vanishes below the ceiling has zero traces past it
+        ex4 = worked_generators("ex4")
+        assert quotient_graded_character(ex4, top + 5).exact
+        assert quotient_trace(ex4, top + 5, (1, 0, 2, 3)) == 0
 
     def test_degree_beyond_the_packed_fields_refused_before_any_work(self):
         top = _groebner.MAX_PACKED_DEGREE
