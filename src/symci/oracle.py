@@ -261,8 +261,22 @@ def representative_permutation(mu) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _trace_permutation(mu, n: int) -> tuple[int, ...]:
+    """`representative_permutation(mu)` conjugated by the reversal k -> n-1-k:
+    its cycles sit on the x_n side, each moving x_k's exponent to x_{k-1}."""
+    perm = representative_permutation(mu)
+    return tuple(n - 1 - perm[n - 1 - k] for k in range(n))
+
+
+def _check_permutation(perm, n: int) -> None:
+    ints = all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
+    if not ints or sorted(perm) != list(range(n)):
+        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm!r}")
+
+
 def permutation_cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycles of length >= 2, 1-based, each starting at its minimum."""
+    _check_permutation(perm, len(perm))
     seen = [False] * len(perm)
     cycles = []
     for s in range(len(perm)):
@@ -289,15 +303,16 @@ class GeneratorSet:
     Slices, views of that basis, are kept for every degree from 0 up to
     the highest one asked for, with a reducer row for each leading
     monomial of the top slice.  Traces keep the standard monomials of each
-    degree and the normal forms they have read; past the completion degree
-    these are all they keep, with no slice.  Monomials are packed as in G.
+    degree and the normal forms they read from the completion degree on,
+    past which they keep nothing else.  Monomials are packed as in G.
     """
 
     def __init__(self, gens, n: int | None = None):
         gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        n = n if n is not None else gens[0].n
+        # read no attribute of a generator before its type is checked
+        n = getattr(gens[0], "n", None) if n is None else require_int(n, "n")
         for g in gens:
             if not isinstance(g, MultiPoly) or g.n != n:
                 raise ValueError("generators must be polynomials in one common ring")
@@ -313,8 +328,9 @@ class GeneratorSet:
         # basis element whose lead divides it, in nondecreasing element order.
         self._reducers: dict[int, dict[int, int]] = {}
         # The standard monomials of each degree from 0 up, and the memoized
-        # normal forms {standard monomial: coefficient} of the monomials a
-        # trace has read, including the border past the completion degree.
+        # normal forms {standard monomial: coefficient} from the completion
+        # degree D on: those of degree D the border at D + 1 reads, and the
+        # border and the forms a trace has read past D.
         self._standard: list[frozenset[int]] = []
         self._forms: dict[int, dict[int, object]] = {}
         self._stable: bool | None = None
@@ -510,11 +526,11 @@ def _slice_form(gs: GeneratorSet, m: int, d: int) -> dict:
 
 
 def _normal_form(gs: GeneratorSet, m: int, d: int) -> dict:
-    """NF(m) modulo I, for a packed monomial m of degree d, as
-    {standard monomial: coefficient}, memoized.
+    """NF(m) modulo I, for a packed monomial m of degree d at least the
+    completion degree D, as {standard monomial: coefficient}, memoized.
 
-    Through the completion degree D it is read off the slice.  Past D a
-    monomial off the border has no standard divisor of degree d - 1, and
+    At D it is read off the slice (`_slice_form`).  Past D a monomial off
+    the border has no standard divisor of degree d - 1, and
     NF(m) = NF(x_k * NF(m / x_k)) for any x_k dividing m; the divisor
     already known, if any, is taken.
     """
@@ -528,7 +544,7 @@ def _normal_form(gs: GeneratorSet, m: int, d: int) -> dict:
         if m in std:
             form = {m: 1}
             break
-        if gs._basis.complete is None or d <= gs._basis.complete:
+        if d == gs._basis.complete:
             form = forms[m] = _slice_form(gs, m, d)
             break
         ks = [u for u in units if not m - u & guard]
@@ -545,21 +561,32 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
 
     The quotient is identified with the span of the standard monomials,
     so the trace is the sum over standard s of the coefficient of s in
-    NF(sigma . s).  Through the completion degree D of the Groebner
-    basis each NF is one reduced row of the slice, and only the rows at
-    the images sigma . s are back-reduced, with the rows they read.  Past
-    D no slice is built: the normal forms come from the multiplication
-    tables (`_normal_form`).  `perm` must be a permutation of range(n),
-    as a sequence of ints.
+    NF(sigma . s).  Through the completion degree D of the Groebner basis
+    (in every degree, if G never completes) that coefficient is minus the
+    entry at s of the reduced slice row at sigma . s, over its lead: the
+    rows at the images that are not standard are back-reduced in one
+    pass, with the rows they read.  Past D no slice is built: the normal
+    forms come from the multiplication tables (`_normal_form`).  `perm`
+    must be a permutation of range(n), as a sequence of ints.
     """
-    ints = all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
-    if not ints or sorted(perm) != list(range(gs.n)):
-        raise ValueError(f"perm must be a permutation of 0..{gs.n - 1}, got {perm!r}")
+    _check_permutation(perm, gs.n)
     if require_int(d, "d") < 0:
         raise ValueError("degree must be nonnegative")
+    std = _standard_monomials(gs, d)
+    images = [(s, _permute(s, perm)) for s in std]
     total = 0  # an int while every coefficient read is one
-    for s in _standard_monomials(gs, d):
-        total += _normal_form(gs, _permute(s, perm), d).get(s, 0)
+    if gs._basis.complete is None or d <= gs._basis.complete:
+        off = [m for _, m in images if m not in std]
+        rows = ideal_degree_slice(gs, d).echelon.ensure_reduced(off).pivot_rows if off else {}
+        for s, m in images:
+            if m == s:
+                total += 1
+            elif m in rows and (v := rows[m].get(s)):
+                lead = rows[m][m]
+                total += -v // lead if v % lead == 0 else Fraction(-v, lead)
+    else:
+        for s, m in images:
+            total += _normal_form(gs, m, d).get(s, 0)
     if type(total) is Fraction:
         if total.denominator != 1:
             raise ArithmeticError(f"non-integral trace {total} at degree {d}")
@@ -570,10 +597,11 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
 def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
     """Exact graded character of the quotient by the generated ideal.
 
-    Each coefficient is assembled from one representative permutation per
-    cycle type (`quotient_trace`).  The first degree with no standard
-    monomial makes the quotient zero from there on, so the series is
-    flagged exact.
+    Each coefficient is assembled from one permutation per cycle type
+    (`quotient_trace`), the conjugate `_trace_permutation` of the
+    representative, at which fewer slice rows are back-reduced.  The first
+    degree with no standard monomial makes the quotient zero from there
+    on, so the series is flagged exact.
     """
     require_int(bound, "bound")
     if bound < 0:
@@ -588,10 +616,7 @@ def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
             exact = True
             coeffs.append(ClassFunction(n, {}))
             continue
-        values = {
-            mu: quotient_trace(gs, d, representative_permutation(mu))
-            for mu in partitions_of(n)
-        }
+        values = {mu: quotient_trace(gs, d, _trace_permutation(mu, n)) for mu in partitions_of(n)}
         coeffs.append(ClassFunction(n, values))
     return GradedCharacter(n, coeffs, exact=exact)
 

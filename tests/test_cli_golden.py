@@ -53,6 +53,20 @@ INVOCATIONS = [
         for body in (ACCEPTED, REJECTED, DEGENERATE)
         for fmt in ([], ["--json"])
     ],
+    *[
+        (["verify", "--gens", f"{{gens}}/{name}.gens", "--against", against] + fmt, None)
+        for name, against in (("ex2", "case I c=2,3,3,4"), ("ex3", "case II d=6 c=2,2,3"))
+        for fmt in ([], ["--json"])
+    ],
+    *[
+        (["verify", "--gens", f"{{gens}}/{name}.gens", "--n", "6", "--against", against]
+         + ["--json"], None)
+        for name, against in (
+            ("coinv6", "case I c=1,2,3,4,5,6"),
+            ("psum6", "case I c=1,2,3,4,5,6"),
+            ("e6sq6", "case I c=1,2,3,4,5,12"),
+        )
+    ],
 ]
 
 

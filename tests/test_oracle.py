@@ -560,6 +560,15 @@ class TestQuotientCharacters:
         gs = worked_generators("ex4")
         assert quotient_trace(gs, 2, [1, 0, 2, 3]) == quotient_trace(gs, 2, (1, 0, 2, 3))
 
+    @pytest.mark.parametrize("perm", [(0, 0), (1, 1, 0), (0, 2), (True, 0)])
+    def test_cycles_refuse_a_non_permutation(self, perm):
+        # a repeated image used to send the cycle walk round forever
+        with pytest.raises(ValueError, match="^perm must be a permutation of 0.."):
+            oracle.permutation_cycles(perm)
+
+    def test_cycles_accept_any_sequence(self):
+        assert oracle.permutation_cycles([1, 0]) == oracle.permutation_cycles((1, 0)) == [(1, 2)]
+
     def test_bound_must_be_an_integer(self):
         gs = worked_generators("ex4")
         for bad in (True, 3.0):
@@ -733,6 +742,44 @@ class TestTracesPastCompletion:
         assert quotient_trace(gs, 14, (1, 0, 2, 3)) == 0
         assert sorted(gs._slices) == list(range(10))
         assert ideal_degree_slice(gs, 10).dimension == comb(4 + 10 - 1, 10)
+
+
+class TestTraceConjugate:
+    """The oracle traces each cycle type at a private conjugate of the
+    representative; these checks do not rely on that choice."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_conjugate_has_the_cycle_type(self, n):
+        for mu in partitions_of(n):
+            perm = oracle._trace_permutation(mu, n)
+            assert sorted(perm) == list(range(n))
+            lengths = sorted((len(c) for c in oracle.permutation_cycles(perm)), reverse=True)
+            assert Partition(lengths + [1] * (n - sum(lengths))) == mu, (n, mu)
+
+    @pytest.mark.parametrize("name", ["ex2", "ex3", "ex4", "ex5", "coinv5", "psum4", "e4sq4"])
+    def test_representative_traces_equal_the_character(self, name):
+        gs = named_ideal(name)
+        bound = sum(gs.degrees) - gs.n + 2
+        got = quotient_graded_character(gs, bound)
+        fresh = named_ideal(name)
+        for d in range(bound + 1):
+            for mu in partitions_of(gs.n):
+                perm = representative_permutation(mu)
+                want = got.coefficient(d).value(mu)
+                # on the oracle's own set after the character, and on a new one
+                assert quotient_trace(gs, d, perm) == want, (d, mu)
+                assert quotient_trace(fresh, d, perm) == want, (d, mu)
+
+    @pytest.mark.parametrize("name", ["ex3", "ex5", "coinv5", "e6sq6"])
+    def test_no_form_memoized_below_completion(self, name):
+        gs = named_ideal(name)
+        quotient_graded_character(gs, sum(gs.degrees) - gs.n + 1)
+        complete = gs._basis.complete
+        if name in ("ex3", "ex5"):
+            assert complete is None and not gs._forms
+        else:
+            assert gs._forms
+            assert min(sum(_groebner._unpack(m, gs.n)) for m in gs._forms) == complete
 
 
 class TestRegularSequences:
@@ -1074,3 +1121,21 @@ class TestGeneratorSetValidation:
     def test_rejects_mixed_rings(self):
         with pytest.raises(ValueError):
             GeneratorSet((MultiPoly.variable(1, 3), MultiPoly.variable(1, 4)))
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            GeneratorSet((MultiPoly.variable(1, 2),), n)
+
+    @pytest.mark.parametrize("n", [None, 2])
+    @pytest.mark.parametrize("gens", [("x1",), (3, MultiPoly.variable(1, 2)), (None,)])
+    def test_rejects_non_polynomials_before_reading_them(self, gens, n):
+        with pytest.raises(ValueError, match="^generators must be polynomials"):
+            GeneratorSet(gens, n)
+
+    def test_n_given_must_match(self):
+        gs = GeneratorSet((elementary_symmetric(1, 2), elementary_symmetric(2, 2)), 2)
+        # the coinvariant algebra of S_2: the sign in degree 1
+        assert quotient_graded_character(gs, 2).coefficient(1).value((2,)) == -1
+        with pytest.raises(ValueError, match="^generators must be polynomials"):
+            GeneratorSet((MultiPoly.variable(1, 2),), 3)
