@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from ._linalg import _as_int_row, _eliminate, _primitive
+from ._linalg import _eliminate, _primitive
 
 _FIELD = 10
 _MASK = (1 << _FIELD) - 1
@@ -68,12 +68,14 @@ class TruncatedBasis:
     """The grevlex Groebner basis G of the ideal of homogeneous generators,
     truncated at the highest degree grown so far.
 
-    `gens` are (degree, {exponent tuple: exact coefficient}) pairs.  Each
-    element of G is kept as (packed lead, {packed monomial: integer
-    coefficient}), in increasing degree; ends[d] is the number of elements
-    of degree <= d.  `complete` is the first degree d with every generator
-    of degree <= d and no critical pair waiting past d: from there on G is
-    a full Groebner basis.
+    `gens` are (degree, packed row) pairs: each generator as a primitive
+    integral row {packed monomial: coefficient}, which is copied before it
+    is reduced, so the caller's rows are never modified.  Each element of
+    G is kept as (packed lead, {packed monomial: integer coefficient}), in
+    increasing degree; ends[d] is the number of elements of degree <= d.
+    `complete` is the first degree d with every generator of degree <= d
+    and no critical pair waiting past d: from there on G is a full
+    Groebner basis.
     """
 
     def __init__(self, n: int, gens):
@@ -114,9 +116,9 @@ class TruncatedBasis:
 
             def rows():
                 """The rows of degree e, each a new dict, built as they are reduced."""
-                for degree, terms in self.gens:
+                for degree, row in self.gens:
                     if degree == e:
-                        yield _as_int_row({_pack(m): c for m, c in terms.items()})
+                        yield dict(row)
                 for i, j, m in self.pairs.pop(e, ()):
                     if earliest(m) == i:
                         t = m - leads[j]

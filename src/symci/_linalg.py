@@ -75,10 +75,10 @@ class Echelon:
 
     __slots__ = ("pivot_rows", "_reduced")
 
-    def __init__(self, pivot_rows: dict[int, dict[int, int]], reduced: bool):
+    def __init__(self, pivot_rows: dict[int, dict[int, int]]):
         self.pivot_rows = pivot_rows
         # the pivots whose rows are back-eliminated
-        self._reduced: set[int] = set(pivot_rows) if reduced else set()
+        self._reduced: set[int] = set()
 
     @property
     def pivots(self) -> list[int]:
@@ -188,4 +188,4 @@ def echelon(rows) -> Echelon:
             _eliminate(r, piv, col)
             if r:
                 push(r, True)
-    return Echelon(pivot_rows, reduced=False)
+    return Echelon(pivot_rows)

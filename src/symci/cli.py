@@ -4,6 +4,9 @@ bundled worked examples.
 
 Exit codes: 0 on success (including a clean structured rejection from
 `classify`), 1 when `verify` finds a mismatch, 2 on validation failure.
+Every refusal goes through `main`: a handler raises ValueError or
+OSError, and `main` prints "error: <message>" to stderr and returns 2.
+Any other exception is a fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -191,13 +194,9 @@ def _character_text(p: dict, g: GradedCharacter) -> str:
 
 
 def _cmd_character(args) -> int:
-    try:
-        rt = _rep_type_from_flags(args.case, args.d, args.c)
-        _check_size(rt, args.n, args.bound)
-        g = quotient_character(rt, args.n, args.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rt = _rep_type_from_flags(args.case, args.d, args.c)
+    _check_size(rt, args.n, args.bound)
+    g = quotient_character(rt, args.n, args.bound)
     payload = {
         "schema": SCHEMA,
         "command": "character",
@@ -216,13 +215,13 @@ def _cmd_character(args) -> int:
 
 
 def _load_multiset(path: str) -> IrredMultiset:
-    with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
-    n = obj["n"]
-    summands = []
-    for item in obj["summands"]:
-        summands.append((Partition(item["partition"]), item["degree"]))
-    return IrredMultiset(n, tuple(summands))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            obj = json.load(handle)
+        summands = [(Partition(item["partition"]), item["degree"]) for item in obj["summands"]]
+        return IrredMultiset(obj["n"], tuple(summands))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot read multiset: {exc}") from exc
 
 
 def _classify_text(p: dict) -> str:
@@ -234,11 +233,7 @@ def _classify_text(p: dict) -> str:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        ms = _load_multiset(args.input)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read multiset: {exc}", file=sys.stderr)
-        return 2
+    ms = _load_multiset(args.input)
     result = classify_multiset(ms)
     accepted = not isinstance(result, Rejection)
     payload = {
@@ -274,21 +269,13 @@ def _verify_text(p: dict, formula: GradedCharacter, oracle_side: GradedCharacter
 
 
 def _cmd_verify(args) -> int:
-    try:
-        rt = _parse_against(args.against)
-        _check_size(rt, args.n, args.bound)
-        with open(args.gens, encoding="utf-8") as handle:
-            gs = parse_generator_file(handle.read(), args.n)
-        formula = quotient_character(rt, args.n, args.bound)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rt = _parse_against(args.against)
+    _check_size(rt, args.n, args.bound)
+    with open(args.gens, encoding="utf-8") as handle:
+        gs = parse_generator_file(handle.read(), args.n)
+    formula = quotient_character(rt, args.n, args.bound)
     compare_bound = formula.top_degree() + 1 if formula.exact else args.bound
-    try:
-        oracle_side = quotient_graded_character(gs, compare_bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    oracle_side = quotient_graded_character(gs, compare_bound)
     matches = [
         formula.coefficient(d) == oracle_side.coefficient(d) for d in range(compare_bound + 1)
     ]
@@ -349,17 +336,16 @@ def _kostka_text(n: int, column: dict[str, dict[str, int]]) -> str:
     width = max(len(s) for s in labels)
     lines = [f"Modified Kostka-Foulkes polynomials K~(λ, {Partition([1] * n)}):"]
     for label, poly in zip(labels, column.values()):
-        lines.append(f"{label.ljust(width)} = {UnivariatePoly(poly)!r}")
+        poly = UnivariatePoly({int(e): c for e, c in poly.items()})
+        lines.append(f"{label.ljust(width)} = {poly!r}")
     return "\n".join(lines)
 
 
 def _cmd_tables(args) -> int:
     if args.n < 1:
-        print("error: need n >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("need n >= 1")
     if args.n > MAX_TABLES_N:
-        print(f"error: --n must be at most {MAX_TABLES_N}, got {args.n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n must be at most {MAX_TABLES_N}, got {args.n}")
     n = args.n
     classes = _class_order(n)
     payload = {
@@ -470,7 +456,11 @@ def main(argv=None) -> int:
         "tables": _cmd_tables,
         "examples": _cmd_examples,
     }
-    return handlers[args.subcommand](args)
+    try:
+        return handlers[args.subcommand](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

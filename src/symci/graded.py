@@ -47,6 +47,7 @@ class GradedCharacter:
     __slots__ = ("n", "_polys", "bound", "exact")
 
     def __init__(self, n: int, coeffs, exact: bool = False):
+        require_int(n, "n")
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("need at least the degree-0 coefficient")
@@ -123,13 +124,13 @@ class GradedCharacter:
         return _graded(self.n, polys, bound, exact)
 
     def scale(self, factor) -> "GradedCharacter":
-        """Multiply every coefficient by an integer or a class function."""
+        """Multiply every coefficient by an integer (not a bool) or a class function."""
         if isinstance(factor, ClassFunction):
             if factor.n != self.n:
                 raise ValueError("mismatched symmetric groups")
             at = factor.values
         else:
-            at = dict.fromkeys(self._polys, factor)
+            at = dict.fromkeys(self._polys, require_int(factor, "factor"))
         polys = {mu: [v * at.get(mu, 0) for v in p] for mu, p in self._polys.items()}
         return _graded(self.n, polys, self.bound, self.exact)
 

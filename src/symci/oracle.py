@@ -46,7 +46,7 @@ from ._groebner import (
     series_dims,
     times_one_minus_power,
 )
-from ._linalg import Echelon, echelon
+from ._linalg import Echelon, _as_int_row, echelon
 from .characters import ClassFunction
 from .graded import GradedCharacter
 from .partitions import Partition, partitions_of, require_int
@@ -66,12 +66,12 @@ class MultiPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if n < 1:
+        if require_int(n, "n") < 1:
             raise ValueError("need at least one variable")
         self.n = n
         clean: dict[tuple[int, ...], object] = {}
         for exps, c in dict(terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(require_int(e, "exponent") for e in exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for n = {n}")
             c = _ratio(c)
@@ -99,7 +99,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, n: int) -> "MultiPoly":
-        return cls(n, {(0,) * n: value})
+        return cls(n, {(0,) * require_int(n, "n"): value})
 
     @classmethod
     def variable(cls, i: int, n: int) -> "MultiPoly":
@@ -141,7 +141,9 @@ class MultiPoly:
         return MultiPoly._of(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, Fraction):
+                require_int(other, "factor")
             return MultiPoly._of(self.n, {e: c * other for e, c in self.terms.items()})
         self._check_same_ring(other)
         out: dict[tuple[int, ...], object] = {}
@@ -154,7 +156,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
+        if require_int(k, "power") < 0:
             raise ValueError("negative powers are not supported")
         out = MultiPoly.constant(1, self.n)
         for _ in range(k):
@@ -237,7 +239,7 @@ def elementary_symmetric(k: int, n: int) -> MultiPoly:
 
 def vandermonde(n: int) -> MultiPoly:
     """Product of (x_i - x_j) over i < j; alternating of degree n(n-1)/2."""
-    if n < 2:
+    if require_int(n, "n") < 2:
         raise ValueError("need n >= 2")
     out = MultiPoly.constant(1, n)
     for i in range(1, n + 1):
@@ -298,13 +300,17 @@ class GeneratorSet:
     """Homogeneous generators with the truncated Groebner basis of their
     ideal and cached degree slices.
 
-    The basis is kept through the highest degree any query needed, with
-    the critical pairs waiting for their lcm degree (`TruncatedBasis`).
-    Slices, views of that basis, are kept for every degree from 0 up to
-    the highest one asked for, with a reducer row for each leading
-    monomial of the top slice.  Traces keep the standard monomials of each
-    degree and the normal forms they read from the completion degree on,
-    past which they keep nothing else.  Monomials are packed as in G.
+    Each generator is packed once, into a primitive integral row
+    {packed monomial: coefficient} (`_rows`, (degree, row) pairs in the
+    order given); the basis, the stability test and the span character all
+    read these rows and never modify them.  The basis is kept through the
+    highest degree any query needed, with the critical pairs waiting for
+    their lcm degree (`TruncatedBasis`).  Slices, views of that basis, are
+    kept for every degree from 0 up to the highest one asked for, with a
+    reducer row for each leading monomial of the top slice.  Traces keep
+    the standard monomials of each degree and the normal forms they read
+    from the completion degree on, past which they keep nothing else.
+    Monomials are packed as in G.
     """
 
     def __init__(self, gens, n: int | None = None):
@@ -321,9 +327,13 @@ class GeneratorSet:
         self.gens = gens
         self.n = n
         self.degrees = tuple(g.degree() for g in gens)
+        self._rows = tuple(
+            (d, _as_int_row({_pack(e): c for e, c in g.terms.items()}))
+            for d, g in zip(self.degrees, gens)
+        )
         self._slices: dict[int, DegreeSlice] = {}
         # The truncated Groebner basis, grown as far as any query needed.
-        self._basis = TruncatedBasis(n, zip(self.degrees, (g.terms for g in gens)))
+        self._basis = TruncatedBasis(n, self._rows)
         # Leading monomial of the top slice -> the multiple of the earliest
         # basis element whose lead divides it, in nondecreasing element order.
         self._reducers: dict[int, dict[int, int]] = {}
@@ -345,28 +355,24 @@ class GeneratorSet:
             self._stable = self._check_stability()
         return self._stable
 
-    def _span_echelons(self) -> Iterator[tuple[list[MultiPoly], Echelon]]:
-        """(the degree-d generators, the echelon of their span) for each
-        generator degree d, in increasing order."""
-        by_degree: dict[int, list[MultiPoly]] = {}
-        for g in self.gens:
-            by_degree.setdefault(g.degree(), []).append(g)
-        for _, gens in sorted(by_degree.items()):
-            yield gens, echelon([_poly_row(g) for g in gens])
+    def _span_echelons(self) -> Iterator[tuple[list[dict[int, int]], Echelon]]:
+        """(the rows of the degree-d generators, the echelon of their span)
+        for each generator degree d, in increasing order."""
+        by_degree: dict[int, list[dict[int, int]]] = {}
+        for d, row in self._rows:
+            by_degree.setdefault(d, []).append(row)
+        for _, rows in sorted(by_degree.items()):
+            yield rows, echelon(rows)
 
     def _check_stability(self) -> bool:
-        for gens, ech in self._span_echelons():
+        for rows, ech in self._span_echelons():
             for k in range(self.n - 1):
                 perm = list(range(self.n))
                 perm[k], perm[k + 1] = perm[k + 1], perm[k]
-                for g in gens:
-                    if not ech.contains(_poly_row(g.apply_permutation(tuple(perm)))):
+                for row in rows:
+                    if not ech.contains({_permute(m, perm): c for m, c in row.items()}):
                         return False
         return True
-
-
-def _poly_row(g: MultiPoly) -> dict[int, object]:
-    return {_pack(e): c for e, c in g.terms.items()}
 
 
 @dataclass

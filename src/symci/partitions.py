@@ -58,7 +58,7 @@ class Partition(tuple):
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order starting from (n)."""
-    if n < 0:
+    if require_int(n, "n") < 0:
         raise ValueError("n must be nonnegative")
 
     def rec(remaining: int, largest: int):

@@ -16,7 +16,7 @@ from functools import cache
 
 from ._linalg import echelon
 from ._tpoly import divmod_poly, product_one_minus
-from .partitions import Partition, conjugate, n_stat
+from .partitions import Partition, conjugate, n_stat, require_int
 
 
 class Tableau:
@@ -25,7 +25,7 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(require_int(v, "entry") for v in row) for row in rows)
         if any(not row for row in rows):
             raise ValueError("empty rows are not allowed")
         if any(len(rows[i]) < len(rows[i + 1]) for i in range(len(rows) - 1)):
@@ -224,18 +224,13 @@ class UnivariatePoly:
     def __init__(self, coeffs=None):
         clean: dict[int, int] = {}
         for e, c in dict(coeffs or {}).items():
-            e = int(e)
-            if e < 0:
+            if require_int(e, "exponent") < 0:
                 raise ValueError("negative exponents are not supported")
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be integers, got {c!r}")
             if c:
                 clean[e] = c
         self.coeffs = clean
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "UnivariatePoly":
-        return cls({exp: coeff})
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.coeffs.items())
@@ -364,10 +359,6 @@ class TableauCombination:
             if c:
                 clean[t] = c
         self.terms = clean
-
-    @classmethod
-    def single(cls, t: Tableau, coeff=1) -> "TableauCombination":
-        return cls({t: coeff})
 
     def coefficient(self, t: Tableau) -> Fraction:
         return self.terms.get(t, Fraction(0))

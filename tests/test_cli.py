@@ -349,3 +349,51 @@ class TestExamplesCommand:
         payload = json.loads(out)
         assert [q["name"] for q in payload["quotients"]] == ["ex2", "ex3", "ex4", "ex5"]
         assert payload["quotients"][2]["hilbert_series"] == [1, 4, 6, 4, 1]
+
+
+class TestRefusalContract:
+    """Every refusal leaves through `main`: exit 2, nothing on stdout and
+    one "error: ..." line on stderr.  Any other exception is a fault and
+    propagates."""
+
+    @pytest.mark.parametrize(
+        "argv, gens, message",
+        [
+            (
+                ["verify", "--n", "2", "--against", "case I c=1"],
+                "x1",
+                "generator span is not stable under the variable permutations",
+            ),
+            (
+                ["verify", "--n", "2", "--against", "case I c=1", "--bound", "600"],
+                "e1",
+                "degree 512 is above the packed-monomial ceiling 511",
+            ),
+            (["tables", "--n", "0"], None, "need n >= 1"),
+        ],
+        ids=["unstable-span", "packed-ceiling", "tables-n0"],
+    )
+    def test_refusal_exits_2_with_one_error_line(self, capsys, tmp_path, argv, gens, message):
+        if gens is not None:
+            path = tmp_path / "g.gens"
+            path.write_text(gens + "\n")
+            argv = argv + ["--gens", str(path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_missing_multiset_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, ["classify", "--input", str(path)])
+        want = f"error: cannot read multiset: [Errno 2] No such file or directory: '{path}'\n"
+        assert (code, out, err) == (2, "", want)
+
+    def test_an_internal_fault_keeps_its_traceback(self, capsys, tmp_path, monkeypatch):
+        def fault(ms):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("symci.cli.classify_multiset", fault)
+        path = tmp_path / "ms.json"
+        path.write_text(json.dumps({"n": 4, "summands": [{"partition": [4], "degree": 2}]}))
+        with pytest.raises(KeyError, match="internal"):
+            main(["classify", "--input", str(path)])
+        assert capsys.readouterr().err == ""

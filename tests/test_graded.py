@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -719,6 +720,21 @@ class TestStrictArguments:
             g.truncate(bad)
         with pytest.raises(ValueError, match="^c must be an integer"):
             scale_by_cyclotomic(g, bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2", Fraction(1, 2), None])
+    def test_scale_takes_an_int_or_a_class_function(self, bad):
+        g = coinvariant_character(3)
+        with pytest.raises(ValueError, match="^factor must be an integer"):
+            g.scale(bad)
+        if bad is True:
+            with pytest.raises(ValueError, match="^factor must be an integer"):
+                g * bad
+        assert g.scale(2) == g + g
+
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2"])
+    def test_constructor_refuses_a_non_integer_n(self, bad):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            GradedCharacter(bad, [trivial_character(2)])
 
     @pytest.mark.parametrize("bad", ["yes", 1, 0, None])
     def test_exact_must_be_a_bool(self, bad):

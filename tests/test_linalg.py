@@ -133,7 +133,7 @@ class TestEchelonKernel:
         assert {p: list(r.items()) for p, r in ech.pivot_rows.items()} == {
             p: list(r.items()) for p, r in want.items()
         }
-        full = Echelon(dict(ech.pivot_rows), reduced=False).ensure_reduced().pivot_rows
+        full = Echelon(dict(ech.pivot_rows)).ensure_reduced().pivot_rows
         scanned = dict(want)
         for p in sorted(scanned, reverse=True):
             row = scanned[p]

@@ -285,5 +285,19 @@ class TestUnivariatePoly:
     def test_json(self):
         assert UnivariatePoly({2: 1, 4: 1}).to_json() == {"2": 1, "4": 1}
 
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda bad: UnivariatePoly({bad: 1}), "exponent"),
+            (lambda bad: Tableau([[1, bad]]), "entry"),
+            (lambda bad: Tableau([[bad], [3]]), "entry"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.9, "2"])
+    def test_constructors_refuse_bools_and_floats(self, call, field, bad):
+        # 2.9 would otherwise become t^2 or the entry 2, and True the 1
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            call(bad)
+
     def test_tableau_json(self):
         assert T2.to_json() == [[1, 3], [2, 4]]
