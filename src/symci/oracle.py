@@ -11,14 +11,14 @@ at a time by Buchberger reduction on packed monomials
 critical pair waits, G is a full Groebner basis.  The regular-sequence
 test builds no slice: it reads each quotient dimension off the Hilbert
 series of <LM(G)>.  Slices, standard monomials and normal forms are
-keyed by the same packed monomials as G.  A degree slice is a view of G
-(`_build_slice`): the previous slice's reducers times each variable, plus
-the elements of G of that degree, whose leads are all distinct.  The
-standard monomials of each degree grow from the previous degree, less
-that degree's new leads.  Traces read reduced slice rows through the
-completion degree; past it they read normal forms off multiplication
-tables on the standard monomials, as in FGLM (Faugere, Gianni, Lazard and
-Mora 1993), with no slice.
+keyed by the same packed monomials as G.  A degree slice is built on the
+slice below (`_build_slice`): its rows times each variable, plus the
+elements of G of that degree, whose leads are all distinct.  The standard
+monomials of each degree grow from the previous degree, less that
+degree's new leads.  A trace reads the normal form of each image
+(`_normal_form`): a reduced slice row through the completion degree, and
+past it the multiplication tables on the standard monomials, as in FGLM
+(Faugere, Gianni, Lazard and Mora 1993), with no slice.
 
 The module shares no code with the closed character formulas it is used
 to check.
@@ -305,12 +305,11 @@ class GeneratorSet:
     order given); the basis, the stability test and the span character all
     read these rows and never modify them.  The basis is kept through the
     highest degree any query needed, with the critical pairs waiting for
-    their lcm degree (`TruncatedBasis`).  Slices, views of that basis, are
-    kept for every degree from 0 up to the highest one asked for, with a
-    reducer row for each leading monomial of the top slice.  Traces keep
-    the standard monomials of each degree and the normal forms they read
-    from the completion degree on, past which they keep nothing else.
-    Monomials are packed as in G.
+    their lcm degree (`TruncatedBasis`).  Slices, each built on the one
+    below, are kept for every degree from 0 up to the highest one asked
+    for.  Traces keep the standard monomials of each degree and the normal
+    forms they read from the completion degree on, past which they keep
+    nothing else.  Monomials are packed as in G.
     """
 
     def __init__(self, gens, n: int | None = None):
@@ -334,13 +333,10 @@ class GeneratorSet:
         self._slices: dict[int, DegreeSlice] = {}
         # The truncated Groebner basis, grown as far as any query needed.
         self._basis = TruncatedBasis(n, self._rows)
-        # Leading monomial of the top slice -> the multiple of the earliest
-        # basis element whose lead divides it, in nondecreasing element order.
-        self._reducers: dict[int, dict[int, int]] = {}
         # The standard monomials of each degree from 0 up, and the memoized
         # normal forms {standard monomial: coefficient} from the completion
-        # degree D on: those of degree D the border at D + 1 reads, and the
-        # border and the forms a trace has read past D.
+        # degree D on: those of degree D a trace or the border at D + 1
+        # read, and the border and the forms a trace has read past D.
         self._standard: list[frozenset[int]] = []
         self._forms: dict[int, dict[int, object]] = {}
         self._stable: bool | None = None
@@ -419,28 +415,28 @@ def ideal_degree_slice(gs: GeneratorSet, d: int) -> DegreeSlice:
 
 
 def _build_slice(gs: GeneratorSet, d: int) -> None:
-    """The degree-d slice as a view of the truncated basis G.
+    """The degree-d slice, built on the slice below.
 
-    Its rows are the previous slice's reducers times each variable (for
-    each monomial T of <LM(G_<d)>_d, the multiple of the earliest element
-    whose lead divides T) and the degree-d elements of G, as stored.  Their
+    Its rows are the degree d - 1 pivot rows times each variable (one row
+    for each monomial of <LM(G_<d)>_d, from the first pivot row that
+    reaches it) and the degree-d elements of G, as stored.  A row of
+    I_(d-1) with lead p times x_k is a row of I_d with lead p * x_k, so the
     leads are distinct, and as G is a d-truncated Groebner basis there is
-    one per pivot of I_d, so the echelon eliminates nothing.
+    one per pivot of I_d: the echelon eliminates nothing.  The rows below
+    may already be back-reduced by a trace; the reduced rows, hence every
+    trace, are the same either way.
     """
     basis = gs._basis
     basis.grow(d)
-    reducers: dict[int, dict[int, int]] = {}
-    # _reducers runs in nondecreasing element order, so the first multiple
-    # to reach a monomial is that of the earliest element dividing it, and
-    # this dict keeps the same order.
-    for p, row in gs._reducers.items():
-        for u in _units(gs.n):
-            if p + u not in reducers:
-                reducers[p + u] = {c + u: v for c, v in row.items()}
+    rows: dict[int, dict[int, int]] = {}
+    if d:
+        for p, row in gs._slices[d - 1].echelon.pivot_rows.items():
+            for u in _units(gs.n):
+                if p + u not in rows:
+                    rows[p + u] = {c + u: v for c, v in row.items()}
     for lead, row in basis.elements[basis.ends[d - 1] if d else 0 : basis.ends[d]]:
-        reducers[lead] = row
-    ech = echelon(list(reducers.values()))
-    gs._reducers = reducers
+        rows[lead] = row
+    ech = echelon(list(rows.values()))
     gs._slices[d] = DegreeSlice(gs.n, d, ech.rank, ech)
 
 
@@ -517,28 +513,17 @@ def _times_variable(forms: dict, form: dict, u: int, std) -> dict:
     }
 
 
-def _slice_form(gs: GeneratorSet, m: int, d: int) -> dict:
-    """NF(m) for a pivot monomial m of the degree-d slice: minus the reduced
-    row at m over its lead, which back-reduces only that row and the rows
-    it reads."""
-    sl = gs._slices[d] if d in gs._slices else ideal_degree_slice(gs, d)
-    row = sl.echelon.ensure_reduced((m,)).pivot_rows[m]
-    lead = row[m]
-    return {
-        c: -v // lead if v % lead == 0 else Fraction(-v, lead)
-        for c, v in row.items()
-        if c != m
-    }
-
-
 def _normal_form(gs: GeneratorSet, m: int, d: int) -> dict:
-    """NF(m) modulo I, for a packed monomial m of degree d at least the
-    completion degree D, as {standard monomial: coefficient}, memoized.
+    """NF(m) modulo I, for a packed monomial m of degree d, as
+    {standard monomial: coefficient}.
 
-    At D it is read off the slice (`_slice_form`).  Past D a monomial off
-    the border has no standard divisor of degree d - 1, and
-    NF(m) = NF(x_k * NF(m / x_k)) for any x_k dividing m; the divisor
-    already known, if any, is taken.
+    Through the completion degree D of G (in every degree, if G never
+    completes) it is minus the reduced slice row at m over its lead, which
+    back-reduces only that row and the rows it reads; it is memoized only
+    at D, where the border at D + 1 reads it.  Past D no slice is built: a
+    monomial off the border has no standard divisor of degree d - 1, and
+    NF(m) = NF(x_k * NF(m / x_k)) for any x_k dividing m, the divisor
+    already known, if any, taken; each form found on the way is memoized.
     """
     forms, units, guard = gs._forms, _units(gs.n), _guard(gs.n)
     chain: list[tuple[int, int, frozenset]] = []
@@ -550,8 +535,18 @@ def _normal_form(gs: GeneratorSet, m: int, d: int) -> dict:
         if m in std:
             form = {m: 1}
             break
-        if d == gs._basis.complete:
-            form = forms[m] = _slice_form(gs, m, d)
+        complete = gs._basis.complete
+        if complete is None or d <= complete:
+            sl = gs._slices[d] if d in gs._slices else ideal_degree_slice(gs, d)
+            row = sl.echelon.ensure_reduced((m,)).pivot_rows[m]
+            lead = row[m]
+            form = {
+                c: -v // lead if v % lead == 0 else Fraction(-v, lead)
+                for c, v in row.items()
+                if c != m
+            }
+            if d == complete:
+                forms[m] = form
             break
         ks = [u for u in units if not m - u & guard]
         u = next((u for u in ks if m - u in forms), ks[0])
@@ -567,32 +562,25 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
 
     The quotient is identified with the span of the standard monomials,
     so the trace is the sum over standard s of the coefficient of s in
-    NF(sigma . s).  Through the completion degree D of the Groebner basis
-    (in every degree, if G never completes) that coefficient is minus the
-    entry at s of the reduced slice row at sigma . s, over its lead: the
-    rows at the images that are not standard are back-reduced in one
-    pass, with the rows they read.  Past D no slice is built: the normal
-    forms come from the multiplication tables (`_normal_form`).  `perm`
+    NF(sigma . s): 1 if sigma . s is s, 0 if it is another standard
+    monomial, and otherwise read off `_normal_form`.  With fewer
+    generators than variables the quotient never vanishes, so a degree
+    past the packed-monomial ceiling is refused before any work.  `perm`
     must be a permutation of range(n), as a sequence of ints.
     """
     _check_permutation(perm, gs.n)
     if require_int(d, "d") < 0:
         raise ValueError("degree must be nonnegative")
+    if len(gs.gens) < gs.n:
+        check_packable(d)
     std = _standard_monomials(gs, d)
-    images = [(s, _permute(s, perm)) for s in std]
     total = 0  # an int while every coefficient read is one
-    if gs._basis.complete is None or d <= gs._basis.complete:
-        off = [m for _, m in images if m not in std]
-        rows = ideal_degree_slice(gs, d).echelon.ensure_reduced(off).pivot_rows if off else {}
-        for s, m in images:
-            if m == s:
-                total += 1
-            elif m in rows and (v := rows[m].get(s)):
-                lead = rows[m][m]
-                total += -v // lead if v % lead == 0 else Fraction(-v, lead)
-    else:
-        for s, m in images:
+    for s in std:
+        m = _permute(s, perm)
+        if m not in std:
             total += _normal_form(gs, m, d).get(s, 0)
+        elif m == s:
+            total += 1
     if type(total) is Fraction:
         if total.denominator != 1:
             raise ArithmeticError(f"non-integral trace {total} at degree {d}")
@@ -605,13 +593,17 @@ def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
 
     Each coefficient is assembled from one permutation per cycle type
     (`quotient_trace`), the conjugate `_trace_permutation` of the
-    representative, at which fewer slice rows are back-reduced.  The first
-    degree with no standard monomial makes the quotient zero from there
-    on, so the series is flagged exact.
+    representative, at which most ideals back-reduce fewer slice rows.
+    The first degree with no standard monomial makes the quotient zero
+    from there on, so the series is flagged exact.  With fewer generators
+    than variables there is no such degree, and a bound past the
+    packed-monomial ceiling is refused before any work.
     """
     require_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if len(gs.gens) < gs.n:
+        check_packable(bound)
     if not gs.is_stable():
         raise ValueError("generator span is not stable under the variable permutations")
     n = gs.n

@@ -367,7 +367,7 @@ class TestRefusalContract:
             (
                 ["verify", "--n", "2", "--against", "case I c=1", "--bound", "600"],
                 "e1",
-                "degree 512 is above the packed-monomial ceiling 511",
+                "degree 600 is above the packed-monomial ceiling 511",
             ),
             (["tables", "--n", "0"], None, "need n >= 1"),
         ],

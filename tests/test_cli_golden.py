@@ -67,6 +67,16 @@ INVOCATIONS = [
             ("e6sq6", "case I c=1,2,3,4,5,12"),
         )
     ],
+    # fewer generators than variables: the quotient is not artinian
+    *[
+        (["verify", "--gens", f"{{gens}}/{name}.gens", "--n", n, "--against", against]
+         + ["--bound", bound] + fmt, None)
+        for name, n, against, bound in (
+            ("trunc4", "4", "case I c=1,2", "12"),
+            ("trunc5", "5", "case I c=2,3,8", "14"),
+        )
+        for fmt in ([], ["--json"])
+    ],
 ]
 
 

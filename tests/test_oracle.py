@@ -496,41 +496,74 @@ class TestDegreeSlices:
         terms = [dict(g.terms) for g in gs.gens]
         horizon = sum(gs.degrees) - gs.n + 1
         grown = []
+        below: dict[int, dict[int, int]] = {}
 
         def items(rows):
             return [(p, list(row.items())) for p, row in rows]
 
         for d in range(horizon + 1):
+            held = items(below.items())
             got = ideal_degree_slice(gs, d)
             want = all_multiples_slice(gs, d)
             assert got.dimension == want.dimension, (name, d)
             # growing G through d modified no element grown before
             assert items(gs._basis.elements[: len(grown)]) == grown, (name, d)
             grown = items(gs._basis.elements)
-            # the slice's rows are its reducers' dicts, some of them G's
-            # elements; echelon, with every row twice, modifies none of them
-            reducers = items(gs._reducers.items())
-            rows = list(gs._reducers.values())
+            # before reduction, the slice's rows are the rows below times
+            # each variable, the first to reach each lead, and G's degree-d
+            # elements, as stored; the leads are distinct, and building
+            # them modified no row below
+            assert items(below.items()) == held, (name, d)
+            shifted: dict[int, dict[int, int]] = {}
+            for p, row in below.items():
+                for u in _groebner._units(gs.n):
+                    shifted.setdefault(p + u, {c + u: v for c, v in row.items()})
+            new = gs._basis.elements[gs._basis.ends[d - 1] if d else 0 : gs._basis.ends[d]]
+            assert not shifted.keys() & {lead for lead, _ in new}, (name, d)
+            assert sorted(items([*shifted.items(), *new])) == items(got.echelon.pivot_rows.items())
+            assert all(min(row) == p for p, row in got.echelon.pivot_rows.items()), (name, d)
+            assert all(row is got.echelon.pivot_rows[lead] for lead, row in new), (name, d)
+            # echelon, with every row twice, modifies none of them
+            original = dict(got.echelon.pivot_rows)
+            rows = list(original.values())
+            held = items(original.items())
             assert echelon(rows + rows).rank == got.dimension
+            assert items(original.items()) == held, (name, d)
             # the one-pass back-substitution gives the pairwise scan's rows:
             # same entries in the same order, signs included, and it
-            # modifies no row in place
-            original = dict(got.echelon.pivot_rows)
-            copies = {p: dict(row) for p, row in original.items()}
+            # modifies no row the caller holds
             scanned = reduced_by_pairwise_scan(original)
             assert not got.echelon._reduced
             got.echelon.ensure_reduced()
             assert {p: list(r.items()) for p, r in got.echelon.pivot_rows.items()} == {
                 p: list(r.items()) for p, r in scanned.items()
             }, (name, d)
-            assert original == copies, (name, d)
+            assert items(original.items()) == held, (name, d)
             assert reduced_rows(got) == reduced_rows(want), (name, d)
             # and neither does membership
             assert all(got.echelon.contains(row) for row in rows), (name, d)
-            assert all(got.echelon.contains(row) for row in original.values()), (name, d)
-            assert items(gs._reducers.items()) == reducers, (name, d)
+            assert all(got.echelon.contains(row) for row in got.echelon.pivot_rows.values())
+            assert items(original.items()) == held, (name, d)
             assert items(gs._basis.elements) == grown, (name, d)
+            below = got.echelon.pivot_rows
         assert [g.terms for g in gs.gens] == terms
+
+    @pytest.mark.parametrize("name", ["ex2", "ex3", "ex5", "coinv5", "e4sq4"])
+    def test_traces_do_not_depend_on_the_rows_reduced_below(self, name):
+        # a slice is built on the rows below as they stand: back-reduced
+        # where a lower trace read them, or not at all
+        built, traced = named_ideal(name), named_ideal(name)
+        bound = sum(built.degrees) - built.n + 1
+        ideal_degree_slice(built, bound)
+        assert not any(sl.echelon._reduced for sl in built._slices.values())
+        got = quotient_graded_character(traced, bound)
+        assert any(sl.echelon._reduced for sl in traced._slices.values())
+        # equal characters, so both pass the reference
+        assert quotient_graded_character(built, bound) == got
+        assert_reference_traces(traced, got, lambda d: all_multiples_slice(traced, d), bound)
+        for d, sl in traced._slices.items():
+            want = built._slices[d].echelon.ensure_reduced().pivot_rows
+            assert sl.echelon.ensure_reduced().pivot_rows == want, (name, d)
 
     @settings(max_examples=120, deadline=None)
     @given(generator_lists())
@@ -1032,8 +1065,14 @@ class TestBasisEngine:
         short = GeneratorSet((elementary_symmetric(1, 3), elementary_symmetric(2, 3)))
         with pytest.raises(ValueError, match=message):
             is_regular_sequence(short, bound=top + 1)
+        # fewer generators than variables: the quotient never vanishes
+        with pytest.raises(ValueError, match=message):
+            quotient_graded_character(short, top + 1)
+        with pytest.raises(ValueError, match=message):
+            quotient_trace(short, top + 1, (1, 0, 2))
         for untouched in (gs, short):
             assert not untouched._slices and not untouched._basis.ends
+            assert not untouched._standard
         # the highest exponent a field holds still packs
         assert _groebner._unpack(_groebner._pack((top, 0, top)), 3) == (top, 0, top)
 
