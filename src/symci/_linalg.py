@@ -4,13 +4,15 @@ Rows are dicts mapping a column key to a nonzero coefficient.  The
 elimination core is fraction-free: denominators are cleared up front, and
 every step goes through one in-place kernel, `_eliminate`.  The integer
 content of a row is taken once per finished row and after each step whose
-pivot entry is not a unit, so entries stay integral and small.
+pivot entry is not a unit, so entries stay integral and small.  `echelon`
+makes each row primitive once; rows whose leads are pairwise distinct,
+as a degree slice's are, come back as they are, with no elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -158,22 +160,32 @@ class Echelon:
 
 def echelon(rows) -> Echelon:
     """Echelonize sparse rows, picking pivots left to right in column order.
-    A row is copied before its first step and made primitive as a pivot."""
+
+    Each row is made primitive once, a copy only where that changes it.
+    When no two rows share a lead there is nothing to eliminate, and the
+    rows are the pivot rows as they are, keyed by lead in increasing order.
+    Otherwise the shortest row at each lead, the first among equals, is its
+    pivot and reduces the others there, each copied before its first step.
+    """
     # lead -> [(row, whether the row is a copy made here)]
     buckets: dict[int, list[tuple[dict[int, int], bool]]] = {}
-    heap: list[int] = []
+    count = 0
+    for raw in rows:
+        r = _as_int_row(raw)
+        if r:
+            buckets.setdefault(min(r), []).append((r, r is not raw))
+            count += 1
+    if len(buckets) == count:
+        return Echelon({col: buckets[col][0][0] for col in sorted(buckets)})
+    heap = list(buckets)
+    heapify(heap)
 
-    def push(r: dict[int, int], mine: bool) -> None:
+    def push(r: dict[int, int]) -> None:
         lead = min(r)
         if lead not in buckets:
             buckets[lead] = []
             heappush(heap, lead)
-        buckets[lead].append((r, mine))
-
-    for raw in rows:
-        r = _as_int_row(raw)
-        if r:
-            push(r, r is not raw)
+        buckets[lead].append((r, True))
 
     pivot_rows: dict[int, dict[int, int]] = {}
     while heap:
@@ -187,5 +199,5 @@ def echelon(rows) -> Echelon:
                 r = dict(r)
             _eliminate(r, piv, col)
             if r:
-                push(r, True)
+                push(r)
     return Echelon(pivot_rows)

@@ -301,8 +301,11 @@ def quotient_character(rt: RepresentationType, n: int, bound: int = 10) -> Grade
     prod_i (1 - t^c_i), over Molien's prod_j (1 - t^mu_j).  The result is
     exact (a polynomial with known top degree) precisely when every one
     of these divisions is exact over Z; otherwise it is truncated at
-    bound.  Inputs that pass the shape gate but are not realizable by an
-    actual regular sequence simply come back inexact.
+    bound.  Exactness does not mean some regular sequence has the type:
+    a type that passes the shape gate but that no regular sequence
+    realizes can still come back exact, with a negative irreducible
+    multiplicity in some degree.  Case I with c = 1, 1, 4, 6 at n = 4 is
+    exact of top degree 8, and its degree-1 piece is -chi[4] + chi[3,1].
     """
     validate_representation_type(rt, n)
     if require_int(bound, "bound") < 0:

@@ -562,18 +562,23 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
 
     The quotient is identified with the span of the standard monomials,
     so the trace is the sum over standard s of the coefficient of s in
-    NF(sigma . s): 1 if sigma . s is s, 0 if it is another standard
-    monomial, and otherwise read off `_normal_form`.  With fewer
-    generators than variables the quotient never vanishes, so a degree
-    past the packed-monomial ceiling is refused before any work.  `perm`
-    must be a permutation of range(n), as a sequence of ints.
+    NF(sigma . s) (`_trace`).  With fewer generators than variables the
+    quotient never vanishes, so a degree past the packed-monomial ceiling
+    is refused before any work.  `perm` must be a permutation of range(n),
+    as a sequence of ints.
     """
     _check_permutation(perm, gs.n)
     if require_int(d, "d") < 0:
         raise ValueError("degree must be nonnegative")
     if len(gs.gens) < gs.n:
         check_packable(d)
-    std = _standard_monomials(gs, d)
+    return _trace(gs, d, _standard_monomials(gs, d), perm)
+
+
+def _trace(gs: GeneratorSet, d: int, std: frozenset[int], perm: tuple[int, ...]) -> int:
+    """Sum over the standard monomials s of degree d of the coefficient of
+    s in NF(perm . s): 1 if perm . s is s, 0 if it is another standard
+    monomial, and otherwise read off `_normal_form`."""
     total = 0  # an int while every coefficient read is one
     for s in std:
         m = _permute(s, perm)
@@ -591,13 +596,14 @@ def quotient_trace(gs: GeneratorSet, d: int, perm: tuple[int, ...]) -> int:
 def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
     """Exact graded character of the quotient by the generated ideal.
 
-    Each coefficient is assembled from one permutation per cycle type
-    (`quotient_trace`), the conjugate `_trace_permutation` of the
-    representative, at which most ideals back-reduce fewer slice rows.
-    The first degree with no standard monomial makes the quotient zero
-    from there on, so the series is flagged exact.  With fewer generators
-    than variables there is no such degree, and a bound past the
-    packed-monomial ceiling is refused before any work.
+    Each degree is traced in one pass.  The identity class is the number
+    of standard monomials; every other cycle type is traced (`_trace`) at
+    one permutation, the conjugate `_trace_permutation` of the
+    representative, at which most ideals back-reduce fewer slice rows,
+    made once per call.  The first degree with no standard monomial makes
+    the quotient zero from there on, so the series is flagged exact.  With
+    fewer generators than variables there is no such degree, and a bound
+    past the packed-monomial ceiling is refused before any work.
     """
     require_int(bound, "bound")
     if bound < 0:
@@ -607,15 +613,19 @@ def quotient_graded_character(gs: GeneratorSet, bound: int) -> GradedCharacter:
     if not gs.is_stable():
         raise ValueError("generator span is not stable under the variable permutations")
     n = gs.n
+    *classes, identity = partitions_of(n)
+    perms = [(mu, _trace_permutation(mu, n)) for mu in classes]
     coeffs: list[ClassFunction] = []
     exact = False
     for d in range(bound + 1):
-        if exact or not _standard_monomials(gs, d):
+        std = () if exact else _standard_monomials(gs, d)
+        if not std:
             exact = True
-            coeffs.append(ClassFunction(n, {}))
+            coeffs.append(ClassFunction._from_clean(n, {}))
             continue
-        values = {mu: quotient_trace(gs, d, _trace_permutation(mu, n)) for mu in partitions_of(n)}
-        coeffs.append(ClassFunction(n, values))
+        values = {mu: v for mu, perm in perms if (v := _trace(gs, d, std, perm))}
+        values[identity] = len(std)
+        coeffs.append(ClassFunction._from_clean(n, values))
     return GradedCharacter(n, coeffs, exact=exact)
 
 

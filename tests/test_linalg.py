@@ -107,6 +107,30 @@ def sparse_rows():
     )
 
 
+@st.composite
+def rows_with_distinct_leads(draw):
+    """Rows with pairwise distinct leads, each as given to `echelon` and as
+    the primitive int row the reference starts from.  A row is primitive,
+    an int multiple of one, or one divided by an int, as Fractions."""
+    leads = draw(st.lists(st.integers(0, 12), unique=True, min_size=1, max_size=8))
+    given_rows, int_rows = [], []
+    for lead in leads:
+        tail = draw(st.dictionaries(st.integers(lead + 1, 14), COEFFS, max_size=5))
+        row = {lead: draw(COEFFS), **tail}
+        g = gcd(*row.values())
+        row = {c: v // g for c, v in row.items()}
+        k = draw(st.integers(1, 6))
+        kind = draw(st.sampled_from(["primitive", "multiple", "fraction"]))
+        if kind == "multiple":
+            given_rows.append({c: k * v for c, v in row.items()})
+        elif kind == "fraction":
+            given_rows.append({c: Fraction(v, k) for c, v in row.items()})
+        else:
+            given_rows.append(row)
+        int_rows.append(row)
+    return given_rows, int_rows
+
+
 class TestEchelonKernel:
     @settings(max_examples=200, deadline=None)
     @given(sparse_rows(), st.dictionaries(st.integers(0, 12), COEFFS, max_size=6))
@@ -126,6 +150,9 @@ class TestEchelonKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_rows())
+    # shared leads: the first row to reach a lead does not keep it
+    @example([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    @example([{1: 3}, {0: 2, 2: 2, 3: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}])
     def test_rows_are_those_of_the_per_step_chain(self, rows):
         copies = [dict(r) for r in rows]
         ech = echelon(rows)
@@ -144,6 +171,30 @@ class TestEchelonKernel:
             p: list(r.items()) for p, r in scanned.items()
         }
         assert rows == copies
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_with_distinct_leads())
+    @example(
+        (
+            [{3: 2, 5: 4}, {1: Fraction(1, 2), 4: 1}, {0: 1, 2: -1}],
+            [{3: 1, 5: 2}, {1: 1, 4: 2}, {0: 1, 2: -1}],
+        )
+    )
+    def test_rows_with_distinct_leads_are_the_pivot_rows(self, spec):
+        rows, int_rows = spec
+        copies = [dict(r) for r in rows]
+        ech = echelon(rows)
+        want = _reference_echelon(int_rows)
+        # pivots in increasing order, with the reference's entries and order
+        assert list(ech.pivot_rows) == sorted(want) == ech.pivots
+        assert {p: list(r.items()) for p, r in ech.pivot_rows.items()} == {
+            p: list(r.items()) for p, r in want.items()
+        }
+        assert rows == copies
+        for r in rows:
+            if all(type(v) is int for v in r.values()) and gcd(*r.values()) == 1:
+                # a primitive int row is the pivot row itself, not a copy
+                assert ech.pivot_rows[min(r)] is r
 
 
 def _reference_echelon(rows):

@@ -170,10 +170,14 @@ FAMILIES = {
 
 
 def named_ideal(name):
-    """ex2..ex5; a family of FAMILIES followed by n, e.g. "coinv5"; or
-    e<k>sq<n>, the elementary symmetric e1, ..., en with e_k squared."""
+    """ex2..ex5; a family of FAMILIES followed by n, e.g. "coinv5";
+    e<k>sq<n>, the elementary symmetric e1, ..., en with e_k squared; or
+    trunc<n>, the bundled gens/trunc<n>.gens."""
     if name.startswith("ex"):
         return worked_generators(name)
+    if name.startswith("trunc"):
+        with open(os.path.join(GENS_DIR, f"{name}.gens"), encoding="utf-8") as handle:
+            return parse_generator_file(handle.read(), int(name[-1]))
     if m := re.fullmatch(r"e(\d)sq(\d)", name):
         k, n = int(m[1]), int(m[2])
         e = [elementary_symmetric(j, n) for j in range(1, n + 1)]
@@ -846,13 +850,20 @@ class TestTraceConjugate:
             lengths = sorted((len(c) for c in oracle.permutation_cycles(perm)), reverse=True)
             assert Partition(lengths + [1] * (n - sum(lengths))) == mu, (n, mu)
 
-    @pytest.mark.parametrize("name", ["ex2", "ex3", "ex4", "ex5", "coinv5", "psum4", "e4sq4"])
+    @pytest.mark.parametrize(
+        "name", ["ex2", "ex3", "ex4", "ex5", "coinv5", "psum4", "e4sq4", "trunc4", "trunc5"]
+    )
     def test_representative_traces_equal_the_character(self, name):
         gs = named_ideal(name)
-        bound = sum(gs.degrees) - gs.n + 2
+        # the trunc quotients never vanish; G completes at degree 2 and 13,
+        # so past it they are traced on the multiplication tables
+        bound = {"trunc4": 6, "trunc5": 15}.get(name, sum(gs.degrees) - gs.n + 2)
         got = quotient_graded_character(gs, bound)
         fresh = named_ideal(name)
         for d in range(bound + 1):
+            # the identity class is the quotient's dimension
+            dim = len(oracle._standard_monomials(gs, d))
+            assert got.coefficient(d).value((1,) * gs.n) == dim, d
             for mu in partitions_of(gs.n):
                 perm = representative_permutation(mu)
                 want = got.coefficient(d).value(mu)
